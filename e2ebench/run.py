@@ -32,7 +32,7 @@ from schedule import hot_set, make_schedule
 from tracing import Tracer, clock, layer_self_times
 from workloads import (
     FIGURE_WORKLOADS,
-    NOMINAL_PASS_S,
+    WARM_REPLAYS,
     ServeHarness,
     WorkDir,
     figures_pass,
@@ -135,41 +135,39 @@ def run_figures(args: argparse.Namespace, work: Any, imports: List[float]) -> Tu
     setup_s = statistics.median(i + s for i, s in zip(imports, store_s))
 
     common = dict(scale=args.scale, seed=args.seed, work=work, repo_root=str(ROOT))
-    count = 1 if args.trace else max(1, round(args.seconds / NOMINAL_PASS_S[args.workload]))
-    passes = [figures_pass(figure_ids, **common) for _ in range(count)]
+    cold = figures_pass(figure_ids, warm=1 if args.trace else WARM_REPLAYS, **common)
+    passes = [cold]
     per_layer: Dict[str, float] = {}
     if args.trace:
         tracer = Tracer(run=f"{args.workload}/seed{args.seed}/traced")
-        traced = figures_pass(figure_ids, tracer=tracer, **common)
-        per_layer = layer_metrics(tracer.spans, traced_wall_s=traced.wall_s, untraced_wall_s=passes[0].wall_s)
+        traced = figures_pass(figure_ids, warm=1, tracer=tracer, **common)
+        per_layer = layer_metrics(tracer.spans, traced_wall_s=traced.wall_s, untraced_wall_s=cold.wall_s)
         _dump_spans(args, tracer, per_layer)
         passes.append(traced)
 
-    measured = passes[:count]
     oracle_start = clock()
-    checked, oracle_failures = oracle_check_cells(passes[0].cells, args.seed)
+    checked, oracle_failures = oracle_check_cells(cold.cells, args.seed)
     oracle_s = clock() - oracle_start
     failures = [f for p in passes for f in p.failures] + oracle_failures
-    cold = [t for p in measured for t in p.cold_cells]
-    warm = [t for p in measured for t in p.warm_cells]
-    analysis = [t for p in measured for t in p.analysis_points]
-    walls = [p.wall_s for p in measured]
+    cells = [c[0] for c in cold.cells]
     e2e = {
         "setup_s": setup_s,
-        "wall_s": statistics.median(walls),
-        "throughput_rps": statistics.median(len(p.cold_cells) / p.wall_s for p in measured),
-        "latency_p50_ms": _ms(cold, 50),
-        "latency_p90_ms": _ms(cold, 90),
-        "analytical_p50_ms": _ms(analysis, 50),
-        "hit_p50_ms": _ms(warm, 50),
-        "hit_p90_ms": _ms(warm, 90),
-        "miss_p50_ms": _ms(cold, 50),
-        "miss_p90_ms": _ms(cold, 90),
+        "wall_s": cold.wall_s,
+        "throughput_rps": len(cells) / cold.wall_s,
+        "latency_p50_ms": _ms(cells, 50),
+        "latency_p90_ms": _ms(cells, 90),
+        "analytical_p50_ms": _ms(cold.analysis, 50),
+        "hit_p50_ms": _ms(cold.replays, 50),
+        "hit_p90_ms": _ms(cold.replays, 90),
+        "miss_p50_ms": _ms(cells, 50),
+        "miss_p90_ms": _ms(cells, 90),
     }
-    attempted = sum(len(p.cold_cells) + len(p.warm_cells) + len(p.analysis_points) + p.figures for p in passes) + checked
+    attempted = checked + sum(
+        len(p.cells) + len(p.analysis) + p.figures * (1 + len(p.replays)) for p in passes
+    )
     notes = [
-        f"passes: {len(measured)} measured, walls {', '.join(f'{w:.3f}' for w in walls)} s",
-        f"samples: analytical={len(analysis)} hit={len(warm)} miss={len(cold)}",
+        f"samples: miss = latency = {len(cells)} cold cells, hit = {len(cold.replays)} warm replays"
+        f" of the {len(figure_ids)} figures, analytical = {len(cold.analysis)} Analysis points",
         f"oracle: {checked} cells re-run on the scalar engine in {oracle_s:.2f} s",
     ]
     return e2e, per_layer, attempted, failures, notes
@@ -303,7 +301,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.record:
         with open(args.record, "a", encoding="utf-8") as fh:
             record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "trace": args.trace}
-            fh.write(json.dumps(dict(record, result=result, machine=facts, recorded=time.time())) + "\n")
+            record.update(result=result, machine=facts, recorded=time.time())
+            fh.write(json.dumps(record) + "\n")
     print(json.dumps(result))
     return 0 if not failures else 1
 

@@ -9,7 +9,10 @@ ever sees the request bodies.  Three lanes:
 * ``hit`` (40%) — ``/v1/cell`` requests for a small hot set of cells
   that set-up computes before the load starts;
 * ``miss`` (20%) — ``/v1/cell`` requests for cells nobody asked for
-  before.  A tenth of them are also requested by a second client at the
+  before.  The three kernel regimes of docs/VECTORIZATION.md
+  (analytic, lockstep, two-phase) each take a third of them, in seeded
+  order, and each miss draws a strategy of its regime.  A tenth of them
+  are also requested by a second client at the
   same point of its loop, so some misses meet one in flight.
 
 Requests are dealt round-robin to the clients, each of which runs a
@@ -29,12 +32,18 @@ HOT_SET_SIZE = 16
 
 _OUTER = ("RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases", "MapReduceOuter")
 _MATRIX = ("RandomMatrix", "SortedMatrix", "DynamicMatrix", "DynamicMatrix2Phases", "MapReduceMatrix")
-#: Miss cells lean to the event-driven strategies, which is where a miss
-#: costs engine time; the analytic kernels, which answer in a few
-#: milliseconds, are about a quarter.  With that share the miss-lane
-#: median sits inside the event-driven cluster rather than on the edge
-#: between the two, where it would jump with the seed's draw.
-_MISS_WEIGHTS = np.array([1.0, 1.0, 4.0, 4.0, 1.0])
+#: Strategies of each kernel regime.  The misses are dealt the regimes in
+#: equal shares, in seeded order, and each then draws a strategy of its
+#: regime, so each regime is a third of the misses whatever its strategy
+#: count and whatever the seed.  A uniform draw over the ten strategies
+#: would make six in ten misses analytic cells of a few milliseconds, and
+#: put the miss p50 and the all-lane p90 on the edge between cheap and
+#: event-driven cells, where they jump with each seed's draw.
+_REGIMES = (
+    ("RandomOuter", "SortedOuter", "MapReduceOuter", "RandomMatrix", "SortedMatrix", "MapReduceMatrix"),
+    ("DynamicOuter", "DynamicMatrix"),
+    ("DynamicOuter2Phases", "DynamicMatrix2Phases"),
+)
 _SHARED_MISS_SHARE = 0.1
 
 
@@ -99,10 +108,10 @@ def make_schedule(seed: int, requests: int, clients: int = 2) -> List[List[Reque
     lanes = ["analytical"] * n_analytical + ["hit"] * n_hit
     lanes += ["miss"] * (requests - len(lanes))
     lanes = [lanes[i] for i in rng.permutation(len(lanes))]
+    n_miss = lanes.count("miss")
+    regimes = [k % len(_REGIMES) for k in range(n_miss)]
+    regimes = iter([regimes[i] for i in rng.permutation(n_miss)])
 
-    names = _OUTER + _MATRIX
-    weights = np.concatenate([_MISS_WEIGHTS, _MISS_WEIGHTS])
-    weights = weights / weights.sum()
     per_client: List[List[Request]] = [[] for _ in range(clients)]
     for i, lane in enumerate(lanes):
         client = i % clients
@@ -112,7 +121,8 @@ def make_schedule(seed: int, requests: int, clients: int = 2) -> List[List[Reque
             body = hot[int(rng.integers(0, len(hot)))]
             per_client[client].append(Request(client, lane, "/v1/cell", body))
         else:
-            body = _cell(rng, str(rng.choice(names, p=weights)), small=False)
+            regime = _REGIMES[next(regimes)]
+            body = _cell(rng, regime[int(rng.integers(0, len(regime)))], small=False)
             per_client[client].append(Request(client, lane, "/v1/cell", body))
             if clients > 1 and rng.random() < _SHARED_MISS_SHARE:
                 other = (client + 1 + int(rng.integers(0, clients - 1))) % clients

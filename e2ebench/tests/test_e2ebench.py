@@ -56,6 +56,17 @@ def test_schedule_mix_and_clients():
     assert not {json.dumps(b, sort_keys=True) for b in hot} & set(misses)
 
 
+def test_misses_draw_each_kernel_regime_equally():
+    from tracing import _family
+
+    for seed in (11, 12):
+        schedule = make_schedule(seed, 600)
+        # Shared misses repeat a body on the other client; count each cell once.
+        misses = {json.dumps(r.body, sort_keys=True): r.body["strategy"] for c in schedule for r in c if r.lane == "miss"}
+        counts = [sum(_family(m) == f for m in misses.values()) for f in ("analytic", "lockstep", "two_phase")]
+        assert max(counts) - min(counts) <= 1, counts
+
+
 def test_schedule_bodies_parse():
     from repro.serve.protocol import AnalyticalQuery, CellSpec
 
@@ -82,6 +93,18 @@ def test_per_layer_names_match_benchmark_json():
 
 def test_workloads_match_benchmark_json():
     assert [w["name"] for w in BENCHMARK["workloads"]] == list(run.WORKLOADS)
+
+
+# -- percentiles -------------------------------------------------------------------
+
+
+def test_percentile_is_harrell_davis():
+    assert layers.percentile([], 50) == 0.0
+    assert layers.percentile([4.0], 90) == 4.0
+    assert layers.percentile([1.0, 2.0, 3.0], 50) == pytest.approx(2.0)
+    many = list(range(1, 1002))
+    assert layers.percentile(many, 50) == pytest.approx(501.0)
+    assert layers.percentile(many, 90) == pytest.approx(901.0, rel=1e-3)
 
 
 # -- self-time arithmetic ----------------------------------------------------------
@@ -131,7 +154,8 @@ def test_layer_metrics_on_a_synthetic_tree():
     assert metrics["simulator.lockstep_s"] == pytest.approx(2.0)
     assert metrics["simulator.replicates_per_call"] == 5
     assert metrics["trace.overhead_s"] == pytest.approx(1.0)
-    assert metrics["trace.coverage"] == pytest.approx(10.0 / 12.0)
+    # Spans beneath generate cover [1, 6] and [8, 9] of the 12 s traced.
+    assert metrics["trace.coverage"] == pytest.approx(6.0 / 12.0)
 
 
 def _tree_with_attrs():

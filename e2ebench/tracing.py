@@ -35,6 +35,7 @@ __all__ = [
     "covered",
     "layer_self_times",
     "self_times",
+    "strategy_family",
 ]
 
 clock = time.perf_counter
@@ -183,19 +184,15 @@ class _Patcher:
 class LaneProbe:
     """Per-call timings of figure operations, for the untraced lane metrics.
 
-    Wraps ``average_normalized_comm`` (one simulation cell) and the
-    Analysis-curve points of the figures module (``mean_analysis_ratio``
-    and the closed-form ``*_total_ratio`` calls of the β sweeps).  Each
-    cell call is also remembered with its arguments and result, so the
-    output gate can re-run a sample of cells on the scalar oracle.
+    Wraps ``average_normalized_comm`` (one simulation cell) and
+    ``mean_analysis_ratio`` (one point of a figure's Analysis curve) where
+    the figures module looks them up.  Each cell call is also remembered
+    with its arguments and result, so the output gate can re-run a sample
+    of cells on the scalar oracle.
     """
 
     CELL = "repro.experiments.figures.average_normalized_comm"
-    ANALYSIS = (
-        "repro.experiments.figures.mean_analysis_ratio",
-        "repro.experiments.figures.outer_total_ratio",
-        "repro.experiments.figures.matrix_total_ratio",
-    )
+    ANALYSIS = "repro.experiments.figures.mean_analysis_ratio"
 
     def __init__(self) -> None:
         self.cells: List[Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]] = []
@@ -224,8 +221,7 @@ class LaneProbe:
             return wrapper
 
         self._patcher.wrap(self.CELL, cell)
-        for target in self.ANALYSIS:
-            self._patcher.wrap(target, point)
+        self._patcher.wrap(self.ANALYSIS, point)
         return self
 
     def __exit__(self, *exc: Any) -> None:
@@ -242,8 +238,12 @@ def _strategy_name(factory: Any) -> str:
     return name if isinstance(name, str) else type(factory()).__name__
 
 
+def strategy_family(factory: Any) -> str:
+    """Kernel regime of a strategy factory's strategy, as docs/VECTORIZATION.md groups them."""
+    return _family(_strategy_name(factory))
+
+
 def _family(strategy: str) -> str:
-    """Kernel regime of a strategy, as docs/VECTORIZATION.md groups them."""
     if strategy.endswith("2Phases"):
         return "two_phase"
     if strategy in ("DynamicOuter", "DynamicMatrix"):

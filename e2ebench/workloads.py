@@ -27,12 +27,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from tracing import LaneProbe, Tracer, clock
+from tracing import LaneProbe, Tracer, clock, strategy_family
 
 __all__ = [
     "FIGURE_WORKLOADS",
     "GATED_FIGURES",
-    "NOMINAL_PASS_S",
+    "WARM_REPLAYS",
     "FiguresPass",
     "ServeHarness",
     "ServePass",
@@ -52,24 +52,25 @@ FIGURE_WORKLOADS: Dict[str, Tuple[str, ...]] = {
     "figures_matrix": ("fig09", "fig11"),
 }
 
-#: Nominal cold-pass seconds on the 2-CPU reference host.  A run makes
-#: ``round(seconds / nominal)`` passes (at least one), so the pass count
-#: depends on ``--seconds`` only, never on how fast the host happens to be.
-NOMINAL_PASS_S: Dict[str, float] = {"figures_outer": 24.0, "figures_matrix": 20.0}
-
 #: Figures whose ``results/<fig>_medium.csv`` must match byte for byte at
 #: the seed the committed results were made with.
 GATED_FIGURES = ("fig04", "fig06", "fig08", "fig09", "fig11")
 GATED_SEED = 2014
 
-#: Warm-store replays per pass: each re-times every cell as a store hit
-#: and every Analysis point (which the store does not cache).
-WARM_REPLAYS = 25
+#: Warm-store replays of the whole figure set after the cold pass; each
+#: one is a ``hit`` sample, so 120 keep 12 samples beyond the p90.
+WARM_REPLAYS = 120
 
-#: Cells re-run on the scalar oracle per run, and the largest cold time a
-#: candidate may have (the scalar engine is several times slower).
+#: Kernel regimes the output gate draws one cell of, to re-run on the
+#: scalar oracle.
+ORACLE_FAMILIES = ("analytic", "lockstep", "two_phase")
+
+#: Cells re-run on the scalar oracle per serve_mixed run.
 ORACLE_SAMPLE = 2
-ORACLE_MAX_COLD_S = 0.1
+
+#: One cold cell: (seconds, args, kwargs, summary) of its
+#: ``average_normalized_comm`` call.
+Cell = Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]
 
 
 class WorkDir:
@@ -92,14 +93,16 @@ class WorkDir:
 
 
 class FiguresPass:
-    """One cold regeneration of a figure set plus its warm replay."""
+    """One cold regeneration of a figure set plus its warm-store replays."""
 
     def __init__(self) -> None:
+        #: Cold generate + write_csv time, summed over the figures.
         self.wall_s = 0.0
-        self.cold_cells: List[float] = []
-        self.analysis_points: List[float] = []
-        self.warm_cells: List[float] = []
-        self.cells: List[Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]] = []
+        self.cells: List[Cell] = []
+        #: Seconds of each ``mean_analysis_ratio`` call, cold and warm.
+        self.analysis: List[float] = []
+        #: Seconds of each whole-set warm replay.
+        self.replays: List[float] = []
         self.figures = 0
         self.failures: List[str] = []
 
@@ -111,9 +114,10 @@ def figures_pass(
     seed: int,
     work: WorkDir,
     repo_root: str,
+    warm: int = WARM_REPLAYS,
     tracer: Optional[Tracer] = None,
 ) -> FiguresPass:
-    """Regenerate *figure_ids* into a fresh, empty store and check them."""
+    """Regenerate *figure_ids* into a fresh, empty store, replay *warm* times, check."""
     from repro.experiments import figures, io
     from repro.store.cache import ResultStore
 
@@ -121,29 +125,31 @@ def figures_pass(
     store = ResultStore(work.fresh("store-"))
     csv_dir = work.fresh("csv-")
     made = []
-    with LaneProbe() as probe, tracer or contextlib.nullcontext():
-        start = clock()
+    with LaneProbe() as lanes, tracer or contextlib.nullcontext():
         for fid in figure_ids:
+            start = clock()
             fig = figures.generate(fid, scale=scale, seed=seed, cache=store)
-            made.append((fid, fig, io.write_csv(fig, os.path.join(csv_dir, f"{fid}_{scale}.csv"))))
-        out.wall_s = clock() - start
-    out.cold_cells = [c[0] for c in probe.cells]
-    out.analysis_points = list(probe.analysis)
-    out.cells = probe.cells
+            path = io.write_csv(fig, os.path.join(csv_dir, f"{fid}_{scale}.csv"))
+            out.wall_s += clock() - start
+            made.append((fid, fig, path))
+    out.cells = lanes.cells
+    out.analysis = list(lanes.analysis)
     out.figures = len(made)
 
-    with LaneProbe() as warm:
-        for _ in range(WARM_REPLAYS):
+    replayed: List[Any] = []
+    with LaneProbe() as lanes:
+        for _ in range(warm):
+            start = clock()
             replayed = [figures.generate(fid, scale=scale, seed=seed, cache=store) for fid in figure_ids]
-    out.warm_cells = [c[0] for c in warm.cells]
-    out.analysis_points += warm.analysis
+            out.replays.append(clock() - start)
+    out.analysis += lanes.analysis
 
-    for (fid, fig, path), again in zip(made, replayed):
+    for i, (fid, fig, path) in enumerate(made):
         for label, series in fig.series.items():
             values = list(series.mean) + list(series.std)
             if not all(math.isfinite(v) for v in values):
                 out.failures.append(f"{fid}/{label}: non-finite value")
-        if io.figure_to_rows(fig) != io.figure_to_rows(again):
+        if replayed and io.figure_to_rows(fig) != io.figure_to_rows(replayed[i]):
             out.failures.append(f"{fid}: warm-store replay differs from the cold run")
         if scale == "medium" and seed == GATED_SEED and fid in GATED_FIGURES:
             committed = os.path.join(repo_root, "results", f"{fid}_medium.csv")
@@ -153,23 +159,26 @@ def figures_pass(
     return out
 
 
-def oracle_check_cells(
-    cells: Sequence[Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]], seed: int
-) -> Tuple[int, List[str]]:
-    """Re-run a seeded sample of cells on the scalar engine; bit-identical?"""
+def oracle_check_cells(cells: Sequence[Cell], seed: int) -> Tuple[int, List[str]]:
+    """Re-run one seeded cell of each kernel regime on the scalar engine.
+
+    The cell is drawn from the cold pass by the seed alone, never by its
+    timing, so the same seed always checks the same cells.
+    """
     from repro.experiments import runner
 
-    candidates = [c for c in cells if c[0] <= ORACLE_MAX_COLD_S] or sorted(cells, key=lambda c: c[0])[:1]
     rng = np.random.default_rng([seed, 3])
-    picks = rng.choice(len(candidates), size=min(ORACLE_SAMPLE, len(candidates)), replace=False)
-    failures = []
-    for i in sorted(int(k) for k in picks):
-        _, args, kwargs, summary = candidates[i]
-        kwargs = dict(kwargs, cache=None, vectorize=False)
-        again = runner.average_normalized_comm(*args, **kwargs)
+    checked, failures = 0, []
+    for family in ORACLE_FAMILIES:
+        pool = [c for c in cells if strategy_family(c[1][0]) == family]
+        if not pool:
+            continue
+        _, args, kwargs, summary = pool[int(rng.integers(0, len(pool)))]
+        again = runner.average_normalized_comm(*args, **dict(kwargs, cache=None, vectorize=False))
+        checked += 1
         if again != summary:
             failures.append(f"cell {args[0]!r} on {args[1]!r}: scalar oracle {again} != {summary}")
-    return len(picks), failures
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------
