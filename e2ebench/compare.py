@@ -76,7 +76,7 @@ def report(base: Runs, change: Runs, benchmark: Dict[str, Any]) -> Tuple[List[st
     lines: List[str] = []
     regressed = False
     end_to_end = benchmark["end_to_end"]
-    fmt = "{:<16} {:<18} {:>30} {:>30} {:>8} {}"
+    fmt = "{:<16} {:<22} {:>30} {:>30} {:>8} {}"
     lines.append(fmt.format("workload", "metric", "base q1/med/q3", "change q1/med/q3", "delta", "verdict"))
     for (workload, trace) in sorted(set(base) & set(change)):
         if trace:

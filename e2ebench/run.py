@@ -5,10 +5,13 @@ Usage (from the root of a checkout)::
     python3 e2ebench/run.py --workload figures_outer --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` runs one
-untraced and one traced pass and reports the per-layer metrics.  Every
-metric is printed on its own line with its unit; the last line of
-standard output is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``.  The exit code is 0 only when every output
+untraced and one traced pass and reports the per-layer metrics.  The
+end-to-end times are CPU times of the benchmark process, scaled to the
+reference host's speed by a probe run between operations (``speed.py``);
+raw CPU and wall-clock figures are printed beside them but not reported.  Every metric is
+printed on its own line with its unit; the last line of standard output
+is one JSON object with ``correct``, ``attempted``, ``failed`` and
+``metrics``.  The exit code is 0 only when every output
 check passed.  See ``e2ebench/README.md`` for what each workload and
 metric means.
 """
@@ -29,8 +32,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from layers import PER_LAYER_UNITS, layer_metrics, percentile
 from schedule import hot_set, make_schedule
-from tracing import Tracer, clock, layer_self_times
+from speed import REFERENCE_S, SpeedProbe, reference_work
+from tracing import Tracer, cpu_clock, layer_self_times
 from workloads import (
+    CLIENT_ID,
     FIGURE_WORKLOADS,
     WARM_REPLAYS,
     ServeHarness,
@@ -46,19 +51,17 @@ SRC = ROOT / "src"
 
 WORKLOADS = ("figures_outer", "figures_matrix", "serve_mixed")
 
-#: End-to-end metric units, in print order.
+#: End-to-end metric units, in print order.  Every time is CPU time at the
+#: reference host's speed.
 END_TO_END_UNITS: Dict[str, str] = {
     "setup_s": "s",
-    "wall_s": "s",
+    "cpu_s": "s",
     "peak_rss_mb": "MB",
-    "throughput_rps": "1/s",
-    "latency_p50_ms": "ms",
-    "latency_p90_ms": "ms",
-    "analytical_p50_ms": "ms",
-    "hit_p50_ms": "ms",
-    "hit_p90_ms": "ms",
-    "miss_p50_ms": "ms",
-    "miss_p90_ms": "ms",
+    "analytical_cpu_p50_ms": "ms",
+    "hit_cpu_p50_ms": "ms",
+    "hit_cpu_p90_ms": "ms",
+    "miss_cpu_p50_ms": "ms",
+    "miss_cpu_p90_ms": "ms",
 }
 
 #: Set-up is repeated this many times per run and its median reported.
@@ -66,7 +69,7 @@ SETUP_TRIALS = 3
 
 #: serve_mixed sizing: requests per second of ``--seconds``, and the
 #: floor that keeps at least 100 samples in every lane (20% are misses).
-SERVE_REQUESTS_PER_SECOND = 40
+SERVE_REQUESTS_PER_SECOND = 120
 SERVE_MIN_REQUESTS = 500
 
 _IMPORTS = "repro.experiments.figures, repro.experiments.io, repro.store.cache, repro.serve.client"
@@ -81,8 +84,8 @@ def nproc() -> int:
 
 
 def import_seconds() -> float:
-    """Time to import the entry-point modules in a fresh interpreter."""
-    code = f"import time; t = time.perf_counter(); import {_IMPORTS}; print(time.perf_counter() - t)"
+    """CPU seconds to start a fresh interpreter and import the entry-point modules."""
+    code = f"import time; import {_IMPORTS}; print(time.process_time())"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=str(ROOT), env=env, capture_output=True, text=True, timeout=120
@@ -92,7 +95,7 @@ def import_seconds() -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
-def machine(clients: int) -> Dict[str, Any]:
+def machine() -> Dict[str, Any]:
     """The host and load-generator facts every record carries."""
     import numpy
 
@@ -108,7 +111,7 @@ def machine(clients: int) -> Dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "load_threads": clients,
+        "load_threads": 1,
         "connections_per_client": 1,
         "engines": engines,
     }
@@ -123,19 +126,19 @@ def _ms(values: List[float], q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_figures(args: argparse.Namespace, work: Any, imports: List[float]) -> Tuple[Dict[str, float], Dict[str, float], int, List[str], List[str]]:
+def run_figures(args: argparse.Namespace, work: Any, imports: List[float], speed: SpeedProbe) -> Tuple[Dict[str, float], Dict[str, float], int, List[str], List[str]]:
     from repro.store.cache import ResultStore
 
     figure_ids = FIGURE_WORKLOADS[args.workload]
     store_s = []
     for _ in range(SETUP_TRIALS):
-        start = clock()
+        start = cpu_clock()
         ResultStore(work.fresh("setup-"))
-        store_s.append(clock() - start)
+        store_s.append(cpu_clock() - start)
     setup_s = statistics.median(i + s for i, s in zip(imports, store_s))
 
     common = dict(scale=args.scale, seed=args.seed, work=work, repo_root=str(ROOT))
-    cold = figures_pass(figure_ids, warm=1 if args.trace else WARM_REPLAYS, **common)
+    cold = figures_pass(figure_ids, warm=1 if args.trace else WARM_REPLAYS, speed=speed, **common)
     passes = [cold]
     per_layer: Dict[str, float] = {}
     if args.trace:
@@ -145,40 +148,37 @@ def run_figures(args: argparse.Namespace, work: Any, imports: List[float]) -> Tu
         _dump_spans(args, tracer, per_layer)
         passes.append(traced)
 
-    oracle_start = clock()
+    oracle_start = time.perf_counter()
     checked, oracle_failures = oracle_check_cells(cold.cells, args.seed)
-    oracle_s = clock() - oracle_start
+    oracle_s = time.perf_counter() - oracle_start
     failures = [f for p in passes for f in p.failures] + oracle_failures
     cells = [c[0] for c in cold.cells]
     e2e = {
         "setup_s": setup_s,
-        "wall_s": cold.wall_s,
-        "throughput_rps": len(cells) / cold.wall_s,
-        "latency_p50_ms": _ms(cells, 50),
-        "latency_p90_ms": _ms(cells, 90),
-        "analytical_p50_ms": _ms(cold.analysis, 50),
-        "hit_p50_ms": _ms(cold.replays, 50),
-        "hit_p90_ms": _ms(cold.replays, 90),
-        "miss_p50_ms": _ms(cells, 50),
-        "miss_p90_ms": _ms(cells, 90),
+        "cpu_s": cold.cpu_s,
+        "analytical_cpu_p50_ms": _ms(cold.analysis, 50),
+        "hit_cpu_p50_ms": _ms(cold.replays, 50),
+        "hit_cpu_p90_ms": _ms(cold.replays, 90),
+        "miss_cpu_p50_ms": _ms(cells, 50),
+        "miss_cpu_p90_ms": _ms(cells, 90),
     }
     attempted = checked + sum(
         len(p.cells) + len(p.analysis) + p.figures * (1 + len(p.replays)) for p in passes
     )
     notes = [
-        f"samples: miss = latency = {len(cells)} cold cells, hit = {len(cold.replays)} warm replays"
+        f"samples: miss = {len(cells)} cold cells, hit = {len(cold.replays)} warm replays"
         f" of the {len(figure_ids)} figures, analytical = {len(cold.analysis)} Analysis points",
         f"oracle: {checked} cells re-run on the scalar engine in {oracle_s:.2f} s",
+        f"wall clock (not reported): cold pass {cold.wall_s:.3f} s, {len(cells) / cold.wall_s:.3f} cells/s",
     ]
     return e2e, per_layer, attempted, failures, notes
 
 
-def run_serve(args: argparse.Namespace, work: Any, imports: List[float]) -> Tuple[Dict[str, float], Dict[str, float], int, List[str], List[str]]:
+def run_serve(args: argparse.Namespace, work: Any, imports: List[float], speed: SpeedProbe) -> Tuple[Dict[str, float], Dict[str, float], int, List[str], List[str]]:
     requests = max(SERVE_MIN_REQUESTS, SERVE_REQUESTS_PER_SECOND * args.seconds)
     if args.scale == "ci":
         requests = 40
-    schedule = make_schedule(args.seed, requests, args.clients)
-    bodies = {(i, seq): r.body for i, reqs in enumerate(schedule) for seq, r in enumerate(reqs)}
+    schedule = make_schedule(args.seed, requests)
     harness = ServeHarness(work, hot_set(args.seed))
     try:
         boots = []
@@ -187,7 +187,7 @@ def run_serve(args: argparse.Namespace, work: Any, imports: List[float]) -> Tupl
                 harness.stop()
             boots.append(harness.boot())
         setup_s = statistics.median(i + b for i, b in zip(imports, boots))
-        untraced = harness.load(schedule)
+        untraced = harness.load(schedule, speed=speed)
         per_layer: Dict[str, float] = {}
         passes = [untraced]
         if args.trace:
@@ -195,7 +195,7 @@ def run_serve(args: argparse.Namespace, work: Any, imports: List[float]) -> Tupl
             harness.boot()
             tracer = Tracer(run=f"{args.workload}/seed{args.seed}/traced")
             traced = harness.load(schedule, tracer=tracer)
-            client_side = [(f"bench-c{r[0]}", r[1], r[4] - r[3], r[5]) for r in traced.records]
+            client_side = [(CLIENT_ID, r[0], r[3], r[4]) for r in traced.records]
             per_layer = layer_metrics(
                 tracer.spans, traced_wall_s=traced.wall_s, untraced_wall_s=untraced.wall_s, requests=client_side
             )
@@ -204,33 +204,32 @@ def run_serve(args: argparse.Namespace, work: Any, imports: List[float]) -> Tupl
     finally:
         harness.stop()
 
-    checked, oracle_failures = oracle_check_misses(untraced.records, bodies, args.seed)
+    checked, oracle_failures = oracle_check_misses(untraced.records, schedule, args.seed)
     failures = [f for p in passes for f in p.failures] + oracle_failures
-    ok = [r for r in untraced.records if r[5] == 200]
-    lanes = {lane: untraced.latencies(lane) for lane in ("analytical", "hit", "miss")}
-    every = untraced.latencies()
+    lanes = {lane: untraced.cpu(lane) for lane in ("analytical", "hit", "miss")}
     e2e = {
         "setup_s": setup_s,
-        "wall_s": untraced.wall_s,
-        "throughput_rps": len(ok) / untraced.wall_s,
-        "latency_p50_ms": _ms(every, 50),
-        "latency_p90_ms": _ms(every, 90),
-        "analytical_p50_ms": _ms(lanes["analytical"], 50),
-        "hit_p50_ms": _ms(lanes["hit"], 50),
-        "hit_p90_ms": _ms(lanes["hit"], 90),
-        "miss_p50_ms": _ms(lanes["miss"], 50),
-        "miss_p90_ms": _ms(lanes["miss"], 90),
+        "cpu_s": untraced.cpu_s,
+        "analytical_cpu_p50_ms": _ms(lanes["analytical"], 50),
+        "hit_cpu_p50_ms": _ms(lanes["hit"], 50),
+        "hit_cpu_p90_ms": _ms(lanes["hit"], 90),
+        "miss_cpu_p50_ms": _ms(lanes["miss"], 50),
+        "miss_cpu_p90_ms": _ms(lanes["miss"], 90),
     }
     statuses: Dict[str, int] = {}
     for r in untraced.records:
-        if r[2] == "miss" and r[5] == 200:
-            statuses[r[6]["status"]] = statuses.get(r[6]["status"], 0) + 1
+        if r[1] == "miss" and r[4] == 200:
+            statuses[r[5]["status"]] = statuses.get(r[5]["status"], 0) + 1
     attempted = sum(len(p.records) for p in passes) + checked
+    ok = sum(1 for r in untraced.records if r[4] == 200)
+    walls = {lane: untraced.wall(lane) for lane in lanes}
     notes = [
-        f"load: closed loop, {args.clients} clients, {sum(len(s) for s in schedule)} requests",
-        "samples: " + " ".join(f"{lane}={len(v)}" for lane, v in lanes.items()) + f" all={len(every)}",
+        f"load: closed loop, 1 client, {len(schedule)} requests",
+        "samples: " + " ".join(f"{lane}={len(v)}" for lane, v in lanes.items()),
         f"miss outcomes: {statuses}; refused (429/503): {untraced.refused}",
         f"oracle: {checked} miss cells re-run on the scalar engine",
+        f"wall clock (not reported): load {untraced.wall_s:.3f} s, {ok / untraced.wall_s:.3f} requests/s, p50 ms "
+        + " ".join(f"{lane}={_ms(v, 50):.3f}" for lane, v in walls.items()),
     ]
     return e2e, per_layer, attempted, failures, notes
 
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seconds", type=int, default=20, help="measuring budget per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("ci", "medium"), default="medium", help="figure scale")
-    parser.add_argument("--clients", type=int, default=2, help="serve_mixed load threads")
     parser.add_argument("--record", help="append this run's result and machine facts to a JSONL file")
     return parser
 
@@ -269,19 +267,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (SRC / "repro").is_dir():
         print(f"e2ebench: no repro package under {SRC}; run from a full checkout", file=sys.stderr)
         return 2
-    if args.workload == "serve_mixed" and not 1 <= args.clients <= nproc():
-        print(f"e2ebench: {args.clients} clients on {nproc()} CPUs; use 1..nproc", file=sys.stderr)
-        return 2
     sys.path.insert(0, str(SRC))
-    imports = [import_seconds() for _ in range(SETUP_TRIALS)]
-    facts = machine(args.clients)
+    reference_work()  # first-call costs stay out of the samples
+    speed = SpeedProbe()
+    imports = []
+    for _ in range(SETUP_TRIALS):
+        speed.tick()
+        imports.append(import_seconds())
+    facts = machine()
     work = WorkDir(str(ROOT / ".e2ebench" / "work"))
     try:
         runner = run_serve if args.workload == "serve_mixed" else run_figures
-        e2e, per_layer, attempted, failures, notes = runner(args, work, imports)
+        raw, per_layer, attempted, failures, notes = runner(args, work, imports, speed)
     finally:
         work.close()
+    scale = speed.scale()
+    e2e = {name: value * scale for name, value in raw.items()}
     e2e["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    notes.append(
+        f"speed: reference median {1e3 * speed.median_s():.4f} ms over {len(speed.samples)} runs"
+        f" (reference host {1e3 * REFERENCE_S:.4f} ms), CPU times scaled by {scale:.4f}"
+    )
+    notes.append("raw CPU (not reported): " + " ".join(f"{k}={v:.6f}" for k, v in raw.items()))
 
     print(f"machine: {json.dumps(facts, sort_keys=True)}")
     for note in notes:

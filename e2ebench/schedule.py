@@ -1,8 +1,8 @@
 """Seeded request schedule for the ``serve_mixed`` workload.
 
-The schedule is a pure function of ``(seed, requests, clients)``: the
-benchmark generates it before the service starts, and the service only
-ever sees the request bodies.  Three lanes:
+The schedule is a pure function of ``(seed, requests)``: the benchmark
+generates it before the service starts, and the service only ever sees
+the request bodies.  Three lanes:
 
 * ``analytical`` (40%) — ``/v1/analytical`` queries over varied ``p``
   (ratio, optimal β, lower bound and speed-agnostic β, both kernels);
@@ -11,12 +11,9 @@ ever sees the request bodies.  Three lanes:
 * ``miss`` (20%) — ``/v1/cell`` requests for cells nobody asked for
   before.  The three kernel regimes of docs/VECTORIZATION.md
   (analytic, lockstep, two-phase) each take a third of them, in seeded
-  order, and each miss draws a strategy of its regime.  A tenth of them
-  are also requested by a second client at the
-  same point of its loop, so some misses meet one in flight.
+  order, and each miss draws a strategy of its regime.
 
-Requests are dealt round-robin to the clients, each of which runs a
-closed loop over its own list.
+One client sends the list in a closed loop.
 """
 
 from __future__ import annotations
@@ -37,20 +34,18 @@ _MATRIX = ("RandomMatrix", "SortedMatrix", "DynamicMatrix", "DynamicMatrix2Phase
 #: regime, so each regime is a third of the misses whatever its strategy
 #: count and whatever the seed.  A uniform draw over the ten strategies
 #: would make six in ten misses analytic cells of a few milliseconds, and
-#: put the miss p50 and the all-lane p90 on the edge between cheap and
-#: event-driven cells, where they jump with each seed's draw.
+#: put the miss p50 on the edge between cheap and event-driven cells,
+#: where it jumps with each seed's draw.
 _REGIMES = (
     ("RandomOuter", "SortedOuter", "MapReduceOuter", "RandomMatrix", "SortedMatrix", "MapReduceMatrix"),
     ("DynamicOuter", "DynamicMatrix"),
     ("DynamicOuter2Phases", "DynamicMatrix2Phases"),
 )
-_SHARED_MISS_SHARE = 0.1
 
 
 class Request(NamedTuple):
-    """One request of one client's closed loop."""
+    """One request of the client's closed loop."""
 
-    client: int
     lane: str
     path: str
     body: Dict[str, Any]
@@ -97,10 +92,10 @@ def _query(rng: np.random.Generator) -> Dict[str, Any]:
     return body
 
 
-def make_schedule(seed: int, requests: int, clients: int = 2) -> List[List[Request]]:
-    """Per-client request lists for *requests* requests (plus shared misses)."""
-    if requests < 5 or clients < 1:
-        raise ValueError(f"need at least 5 requests and 1 client, got {requests}, {clients}")
+def make_schedule(seed: int, requests: int) -> List[Request]:
+    """The *requests* requests of one seed, in the order they are sent."""
+    if requests < 5:
+        raise ValueError(f"need at least 5 requests, got {requests}")
     rng = np.random.default_rng([seed, 2])
     hot = hot_set(seed)
     n_analytical = round(0.4 * requests)
@@ -112,19 +107,14 @@ def make_schedule(seed: int, requests: int, clients: int = 2) -> List[List[Reque
     regimes = [k % len(_REGIMES) for k in range(n_miss)]
     regimes = iter([regimes[i] for i in rng.permutation(n_miss)])
 
-    per_client: List[List[Request]] = [[] for _ in range(clients)]
-    for i, lane in enumerate(lanes):
-        client = i % clients
+    schedule: List[Request] = []
+    for lane in lanes:
         if lane == "analytical":
-            per_client[client].append(Request(client, lane, "/v1/analytical", _query(rng)))
+            schedule.append(Request(lane, "/v1/analytical", _query(rng)))
         elif lane == "hit":
-            body = hot[int(rng.integers(0, len(hot)))]
-            per_client[client].append(Request(client, lane, "/v1/cell", body))
+            schedule.append(Request(lane, "/v1/cell", hot[int(rng.integers(0, len(hot)))]))
         else:
             regime = _REGIMES[next(regimes)]
             body = _cell(rng, regime[int(rng.integers(0, len(regime)))], small=False)
-            per_client[client].append(Request(client, lane, "/v1/cell", body))
-            if clients > 1 and rng.random() < _SHARED_MISS_SHARE:
-                other = (client + 1 + int(rng.integers(0, clients - 1))) % clients
-                per_client[other].append(Request(other, lane, "/v1/cell", body))
-    return per_client
+            schedule.append(Request(lane, "/v1/cell", body))
+    return schedule

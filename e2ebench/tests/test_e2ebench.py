@@ -39,20 +39,16 @@ def test_schedule_changes_with_the_seed():
     assert make_schedule(7, 200) != make_schedule(8, 200)
 
 
-def test_schedule_mix_and_clients():
-    schedule = make_schedule(3, 500, clients=2)
-    assert len(schedule) == 2
-    requests = [r for client in schedule for r in client]
-    lanes = [r.lane for r in requests]
+def test_schedule_mix():
+    schedule = make_schedule(3, 500)
+    lanes = [r.lane for r in schedule]
     assert lanes.count("analytical") == 200
     assert lanes.count("hit") == 200
-    assert lanes.count("miss") >= 100
-    assert all(r.client == i for i, client in enumerate(schedule) for r in client)
+    assert lanes.count("miss") == 100
     hot = hot_set(3)
     assert len(hot) == HOT_SET_SIZE
-    assert all(r.body in hot for r in requests if r.lane == "hit")
-    misses = [json.dumps(r.body, sort_keys=True) for r in requests if r.lane == "miss"]
-    assert len(set(misses)) < len(misses), "some misses are shared between clients"
+    assert all(r.body in hot for r in schedule if r.lane == "hit")
+    misses = [json.dumps(r.body, sort_keys=True) for r in schedule if r.lane == "miss"]
     assert not {json.dumps(b, sort_keys=True) for b in hot} & set(misses)
 
 
@@ -60,22 +56,19 @@ def test_misses_draw_each_kernel_regime_equally():
     from tracing import _family
 
     for seed in (11, 12):
-        schedule = make_schedule(seed, 600)
-        # Shared misses repeat a body on the other client; count each cell once.
-        misses = {json.dumps(r.body, sort_keys=True): r.body["strategy"] for c in schedule for r in c if r.lane == "miss"}
-        counts = [sum(_family(m) == f for m in misses.values()) for f in ("analytic", "lockstep", "two_phase")]
+        misses = [r.body["strategy"] for r in make_schedule(seed, 600) if r.lane == "miss"]
+        counts = [sum(_family(m) == f for m in misses) for f in ("analytic", "lockstep", "two_phase")]
         assert max(counts) - min(counts) <= 1, counts
 
 
 def test_schedule_bodies_parse():
     from repro.serve.protocol import AnalyticalQuery, CellSpec
 
-    for client in make_schedule(5, 100):
-        for request in client:
-            if request.lane == "analytical":
-                AnalyticalQuery.parse(request.body)
-            else:
-                CellSpec.parse(request.body)
+    for request in make_schedule(5, 100):
+        if request.lane == "analytical":
+            AnalyticalQuery.parse(request.body)
+        else:
+            CellSpec.parse(request.body)
 
 
 # -- metric names ------------------------------------------------------------------
@@ -105,6 +98,22 @@ def test_percentile_is_harrell_davis():
     many = list(range(1, 1002))
     assert layers.percentile(many, 50) == pytest.approx(501.0)
     assert layers.percentile(many, 90) == pytest.approx(901.0, rel=1e-3)
+
+
+# -- speed calibration -------------------------------------------------------------
+
+
+def test_speed_probe_scales_to_the_reference():
+    from speed import REFERENCE_S, SpeedProbe
+
+    probe = SpeedProbe()
+    for _ in range(3):
+        probe.tick()
+    assert len(probe.samples) == 3
+    assert probe.spent_cpu == pytest.approx(sum(probe.samples))
+    assert probe.scale() == pytest.approx(REFERENCE_S / probe.median_s())
+    probe.samples = [2 * REFERENCE_S, REFERENCE_S, 4 * REFERENCE_S]
+    assert probe.scale() == pytest.approx(0.5)
 
 
 # -- self-time arithmetic ----------------------------------------------------------
@@ -208,12 +217,6 @@ def test_ci_smoke_run(workload, trace):
     if trace == "1" and workload.startswith("figures"):
         assert result["metrics"]["simulator.scalar_calls"]["value"] == 0
         assert result["metrics"]["trace.coverage"]["value"] >= 0.9
-
-
-def test_refuses_more_clients_than_cpus():
-    done, _ = _run(["--workload", "serve_mixed", "--seed", "1", "--clients", str(run.nproc() + 1)])
-    assert done.returncode != 0
-    assert "{" not in done.stdout
 
 
 def test_fails_without_the_program(tmp_path):

@@ -12,9 +12,13 @@ and ``tag`` identifies the serve request the span belongs to (set by the
 quota check that opens every request).  Spans stay in memory and are
 written once, by :meth:`Tracer.dump`, when the run ends.
 
-The same mechanism in a lighter form (:class:`LaneProbe`) times the figure
-operations that the end-to-end lane metrics need in untraced runs: one
-clock pair per call, no span tree.
+The same mechanism in a lighter form (:class:`LaneProbe`) measures the
+figure operations that the end-to-end lane metrics need in untraced runs:
+one CPU-clock pair per call, no span tree.
+
+Spans are timed on the wall clock (:data:`clock`); the end-to-end metrics
+use the process CPU clock (:data:`cpu_clock`), which on a shared host does
+not count the time other processes or the hypervisor hold the CPU.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ __all__ = [
 ]
 
 clock = time.perf_counter
+#: CPU seconds of this process, all threads (CLOCK_PROCESS_CPUTIME_ID).
+cpu_clock = time.process_time
 
 #: The serve request a span belongs to: ``(client, sequence)``.
 _REQUEST: "contextvars.ContextVar[Optional[Tuple[str, int]]]" = contextvars.ContextVar(
@@ -182,30 +188,34 @@ class _Patcher:
 
 
 class LaneProbe:
-    """Per-call timings of figure operations, for the untraced lane metrics.
+    """Per-call CPU times of figure operations, for the untraced lane metrics.
 
     Wraps ``average_normalized_comm`` (one simulation cell) and
     ``mean_analysis_ratio`` (one point of a figure's Analysis curve) where
     the figures module looks them up.  Each cell call is also remembered
     with its arguments and result, so the output gate can re-run a sample
-    of cells on the scalar oracle.
+    of cells on the scalar oracle.  A *speed* probe (``speed.SpeedProbe``),
+    if given, runs before each cell, outside the cell's timing.
     """
 
     CELL = "repro.experiments.figures.average_normalized_comm"
     ANALYSIS = "repro.experiments.figures.mean_analysis_ratio"
 
-    def __init__(self) -> None:
+    def __init__(self, speed: Any = None) -> None:
         self.cells: List[Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]] = []
         self.analysis: List[float] = []
+        self._speed = speed
         self._patcher = _Patcher()
 
     def __enter__(self) -> "LaneProbe":
         def cell(fn: Callable[..., Any]) -> Callable[..., Any]:
             @functools.wraps(fn)
             def wrapper(*args: Any, **kwargs: Any) -> Any:
-                t = clock()
+                if self._speed is not None:
+                    self._speed.tick()
+                t = cpu_clock()
                 result = fn(*args, **kwargs)
-                self.cells.append((clock() - t, args, kwargs, result))
+                self.cells.append((cpu_clock() - t, args, kwargs, result))
                 return result
 
             return wrapper
@@ -213,9 +223,9 @@ class LaneProbe:
         def point(fn: Callable[..., Any]) -> Callable[..., Any]:
             @functools.wraps(fn)
             def wrapper(*args: Any, **kwargs: Any) -> Any:
-                t = clock()
+                t = cpu_clock()
                 result = fn(*args, **kwargs)
-                self.analysis.append(clock() - t)
+                self.analysis.append(cpu_clock() - t)
                 return result
 
             return wrapper
@@ -336,8 +346,8 @@ class Tracer:
     def _tag_request(self, fn: Callable[..., Any]) -> Callable[..., Any]:
         """Every serve route checks its quota first: number the request there.
 
-        Clients run closed loops, so the k-th quota check for a client is
-        that client's k-th request on the wire.
+        The client runs a closed loop, so its k-th quota check is its k-th
+        request on the wire.
         """
 
         @functools.wraps(fn)

@@ -15,21 +15,19 @@ exits non-zero when there are any.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from tracing import LaneProbe, Tracer, clock, strategy_family
+from speed import SpeedProbe
+from tracing import LaneProbe, Tracer, clock, cpu_clock, strategy_family
 
 __all__ = [
+    "CLIENT_ID",
     "FIGURE_WORKLOADS",
     "GATED_FIGURES",
     "WARM_REPLAYS",
@@ -42,8 +40,6 @@ __all__ = [
     "oracle_check_cells",
     "oracle_check_misses",
 ]
-
-LOADGEN = Path(__file__).resolve().parent / "loadgen.py"
 
 #: Figures of each figure workload.  Each kernel keeps one lockstep
 #: p-grid sweep and one β-grid sweep.
@@ -68,7 +64,13 @@ ORACLE_FAMILIES = ("analytic", "lockstep", "two_phase")
 #: Cells re-run on the scalar oracle per serve_mixed run.
 ORACLE_SAMPLE = 2
 
-#: One cold cell: (seconds, args, kwargs, summary) of its
+#: The load's one client, as it names itself to the service.
+CLIENT_ID = "bench-c0"
+
+#: serve_mixed runs the speed reference once per this many requests.
+PROBE_EVERY = 5
+
+#: One cold cell: (CPU seconds, args, kwargs, summary) of its
 #: ``average_normalized_comm`` call.
 Cell = Tuple[float, Tuple[Any, ...], Dict[str, Any], Any]
 
@@ -96,12 +98,14 @@ class FiguresPass:
     """One cold regeneration of a figure set plus its warm-store replays."""
 
     def __init__(self) -> None:
-        #: Cold generate + write_csv time, summed over the figures.
+        #: Cold generate + write_csv CPU time, summed over the figures.
+        self.cpu_s = 0.0
+        #: The same on the wall clock, reported but not gated.
         self.wall_s = 0.0
         self.cells: List[Cell] = []
-        #: Seconds of each ``mean_analysis_ratio`` call, cold and warm.
+        #: CPU seconds of each ``mean_analysis_ratio`` call, cold and warm.
         self.analysis: List[float] = []
-        #: Seconds of each whole-set warm replay.
+        #: CPU seconds of each whole-set warm replay.
         self.replays: List[float] = []
         self.figures = 0
         self.failures: List[str] = []
@@ -116,8 +120,13 @@ def figures_pass(
     repo_root: str,
     warm: int = WARM_REPLAYS,
     tracer: Optional[Tracer] = None,
+    speed: Optional[SpeedProbe] = None,
 ) -> FiguresPass:
-    """Regenerate *figure_ids* into a fresh, empty store, replay *warm* times, check."""
+    """Regenerate *figure_ids* into a fresh, empty store, replay *warm* times, check.
+
+    With a *speed* probe, a reference run precedes every cold cell and
+    every warm replay, and its time is taken out of the cold totals.
+    """
     from repro.experiments import figures, io
     from repro.store.cache import ResultStore
 
@@ -125,12 +134,14 @@ def figures_pass(
     store = ResultStore(work.fresh("store-"))
     csv_dir = work.fresh("csv-")
     made = []
-    with LaneProbe() as lanes, tracer or contextlib.nullcontext():
+    with LaneProbe(speed) as lanes, tracer or contextlib.nullcontext():
         for fid in figure_ids:
-            start = clock()
+            probed = (speed.spent_cpu, speed.spent_wall) if speed else (0.0, 0.0)
+            start, cpu = clock(), cpu_clock()
             fig = figures.generate(fid, scale=scale, seed=seed, cache=store)
             path = io.write_csv(fig, os.path.join(csv_dir, f"{fid}_{scale}.csv"))
-            out.wall_s += clock() - start
+            out.cpu_s += cpu_clock() - cpu - (speed.spent_cpu - probed[0] if speed else 0.0)
+            out.wall_s += clock() - start - (speed.spent_wall - probed[1] if speed else 0.0)
             made.append((fid, fig, path))
     out.cells = lanes.cells
     out.analysis = list(lanes.analysis)
@@ -139,9 +150,11 @@ def figures_pass(
     replayed: List[Any] = []
     with LaneProbe() as lanes:
         for _ in range(warm):
-            start = clock()
+            if speed is not None:
+                speed.tick()
+            cpu = cpu_clock()
             replayed = [figures.generate(fid, scale=scale, seed=seed, cache=store) for fid in figure_ids]
-            out.replays.append(clock() - start)
+            out.replays.append(cpu_clock() - cpu)
     out.analysis += lanes.analysis
 
     for i, (fid, fig, path) in enumerate(made):
@@ -190,17 +203,23 @@ class ServePass:
     """One closed-loop load over a freshly booted service."""
 
     def __init__(self) -> None:
+        self.cpu_s = 0.0
         self.wall_s = 0.0
-        #: (client, seq, lane, start, end, status, response)
-        self.records: List[Tuple[int, int, str, float, float, int, Dict[str, Any]]] = []
+        #: (seq, lane, cpu_s, wall_s, status, response) per request.
+        self.records: List[Tuple[int, str, float, float, int, Dict[str, Any]]] = []
         self.failures: List[str] = []
 
-    def latencies(self, lane: Optional[str] = None) -> List[float]:
-        return [r[4] - r[3] for r in self.records if lane is None or r[2] == lane]
+    def cpu(self, lane: str) -> List[float]:
+        """CPU seconds of each request of *lane*."""
+        return [r[2] for r in self.records if r[1] == lane]
+
+    def wall(self, lane: Optional[str] = None) -> List[float]:
+        """Wall-clock latency of each request (of *lane*)."""
+        return [r[3] for r in self.records if lane is None or r[1] == lane]
 
     @property
     def refused(self) -> int:
-        return sum(1 for r in self.records if r[5] in (429, 503))
+        return sum(1 for r in self.records if r[4] in (429, 503))
 
 
 def expected_analytical(body: Dict[str, Any]) -> Dict[str, Any]:
@@ -234,11 +253,11 @@ class ServeHarness:
         self.reference: Dict[str, Dict[str, Any]] = {}
 
     def boot(self) -> float:
-        """Store, server and hot-set pre-warm; returns the seconds it took."""
+        """Store, server and hot-set pre-warm; returns the CPU seconds it took."""
         from repro.serve.client import ServeClient, ServerThread
         from repro.serve.service import ServeConfig
 
-        start = clock()
+        start = cpu_clock()
         config = ServeConfig(
             host="127.0.0.1", port=0, store_root=self.work.fresh("serve-"), quota_burst=0.0
         )
@@ -249,81 +268,93 @@ class ServeHarness:
         for body in self.hot:
             payload = client.cell(body)
             self.reference[payload["fingerprint"]] = payload["summary"]
-        return clock() - start
+        return cpu_clock() - start
 
     def stop(self) -> None:
         if self.server is not None:
             self.server.stop()
             self.server = None
 
-    def load(self, schedule: List[List[Any]], tracer: Optional[Tracer] = None) -> ServePass:
-        """Run the clients' closed loops in the load-generator process."""
-        job = {
-            "host": self.address[0],
-            "port": self.address[1],
-            "schedule": [[r._asdict() for r in reqs] for reqs in schedule],
-        }
-        with tracer or contextlib.nullcontext():
-            done = subprocess.run(
-                [sys.executable, str(LOADGEN)],
-                input=json.dumps(job),
-                capture_output=True,
-                text=True,
-                timeout=170.0,
-            )
-        if done.returncode != 0:
-            raise RuntimeError(f"load generator failed:\n{done.stderr}")
-        report = json.loads(done.stdout)
+    def load(
+        self, schedule: Sequence[Any], tracer: Optional[Tracer] = None, speed: Optional[SpeedProbe] = None
+    ) -> ServePass:
+        """Send *schedule* from one client in a closed loop.
+
+        Only one request is in flight at a time and nothing else runs in
+        the process, so the process CPU time a request spans is the
+        client's and the server's work for that request.  A *speed* probe
+        runs between requests, and its time is taken out of the totals.
+        """
+        from repro.serve.client import ServeClient, ServeError
+
+        client = ServeClient(*self.address, client_id=CLIENT_ID, timeout=120.0)
+        send = {"/v1/analytical": client.analytical, "/v1/cell": client.cell}
         out = ServePass()
-        out.wall_s = report["wall_s"]
-        out.records = [tuple(r) for r in report["records"]]
-        bodies = {(i, seq): req.body for i, reqs in enumerate(schedule) for seq, req in enumerate(reqs)}
-        out.failures.extend(self._check(out, bodies))
+        with tracer or contextlib.nullcontext():
+            probed = (speed.spent_cpu, speed.spent_wall) if speed else (0.0, 0.0)
+            start, cpu = clock(), cpu_clock()
+            for seq, req in enumerate(schedule):
+                if speed is not None and seq % PROBE_EVERY == 0:
+                    speed.tick()
+                t, c = clock(), cpu_clock()
+                try:
+                    response, status = send[req.path](req.body), 200
+                except ServeError as exc:
+                    response, status = exc.payload, exc.status
+                except OSError as exc:
+                    response, status = {"error": str(exc)}, 0
+                out.records.append((seq, req.lane, cpu_clock() - c, clock() - t, status, response))
+            out.cpu_s = cpu_clock() - cpu
+            out.wall_s = clock() - start
+        if speed is not None:
+            out.cpu_s -= speed.spent_cpu - probed[0]
+            out.wall_s -= speed.spent_wall - probed[1]
+        out.failures.extend(self._check(out, schedule))
         return out
 
-    def _check(self, out: ServePass, bodies: Dict[Tuple[int, int], Dict[str, Any]]) -> List[str]:
+    def _check(self, out: ServePass, schedule: Sequence[Any]) -> List[str]:
         failures = []
         by_fp: Dict[str, List[Dict[str, Any]]] = {}
-        for client, seq, lane, _, _, status, response in out.records:
+        for seq, lane, _, _, status, response in out.records:
             if status != 200:
-                failures.append(f"c{client}#{seq} ({lane}): HTTP {status} {response.get('error')}")
+                failures.append(f"#{seq} ({lane}): HTTP {status} {response.get('error')}")
                 continue
-            body = bodies[(client, seq)]
+            body = schedule[seq].body
             if lane == "analytical":
                 expected = expected_analytical(body)
                 got = {k: response.get(k) for k in expected}
                 if got != expected:
-                    failures.append(f"c{client}#{seq}: analytical {got} != {expected}")
+                    failures.append(f"#{seq}: analytical {got} != {expected}")
             elif lane == "hit":
                 if response["summary"] != self.reference.get(response["fingerprint"]):
-                    failures.append(f"c{client}#{seq}: hit payload differs from the computed one")
+                    failures.append(f"#{seq}: hit payload differs from the computed one")
                 if response["status"] != "hit":
-                    failures.append(f"c{client}#{seq}: hot cell answered {response['status']!r}")
+                    failures.append(f"#{seq}: hot cell answered {response['status']!r}")
             else:
                 if response["status"] not in ("computed", "coalesced", "hit"):
-                    failures.append(f"c{client}#{seq}: miss answered {response['status']!r}")
+                    failures.append(f"#{seq}: miss answered {response['status']!r}")
                 by_fp.setdefault(response["fingerprint"], []).append(response)
         for fp, responses in by_fp.items():
             if any(r["summary"] != responses[0]["summary"] for r in responses):
-                failures.append(f"cell {fp[:12]}: coalesced or hit payload differs from the computed one")
+                failures.append(f"cell {fp[:12]}: repeated payload differs from the computed one")
         return failures
 
 
-def oracle_check_misses(records: Sequence[Tuple[Any, ...]], bodies: Dict[Tuple[int, int], Dict[str, Any]], seed: int) -> Tuple[int, List[str]]:
+def oracle_check_misses(records: Sequence[Tuple[Any, ...]], schedule: Sequence[Any], seed: int) -> Tuple[int, List[str]]:
     """Recompute a seeded sample of miss cells on the scalar engine."""
     from repro.experiments import runner
     from repro.serve.protocol import CellSpec
     from repro.store.cells import summary_to_payload
 
-    misses = sorted((r for r in records if r[2] == "miss" and r[5] == 200), key=lambda r: (r[0], r[1]))
+    misses = [r for r in records if r[1] == "miss" and r[4] == 200]
     if not misses:
         return 0, []
     rng = np.random.default_rng([seed, 4])
     picks = rng.choice(len(misses), size=min(ORACLE_SAMPLE, len(misses)), replace=False)
     failures = []
     for k in sorted(int(i) for i in picks):
-        client, seq, _, _, _, _, response = misses[k]
-        request = CellSpec.parse(bodies[(client, seq)]).request
+        seq, _, _, _, _, response = misses[k]
+        request = CellSpec.parse(schedule[seq].body).request
         summary = runner.average_normalized_comm(
             request.strategy_factory,
             request.platform_factory,
@@ -333,5 +364,5 @@ def oracle_check_misses(records: Sequence[Tuple[Any, ...]], bodies: Dict[Tuple[i
             vectorize=False,
         )
         if dict(summary_to_payload(summary, None)["summary"]) != response["summary"]:
-            failures.append(f"c{client}#{seq}: served summary differs from the scalar oracle")
+            failures.append(f"#{seq}: served summary differs from the scalar oracle")
     return len(picks), failures
