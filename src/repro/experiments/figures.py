@@ -44,6 +44,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import average_normalized_comm, mean_analysis_ratio
 from repro.platform.platform import Platform
 from repro.platform.speeds import SCENARIO_NAMES, uniform_speeds
+from repro.simulator.vector_kernels import Phase1Prefix
 from repro.store.cache import ResultStore
 from repro.utils.rng import SeedLike, as_generator
 
@@ -294,6 +295,9 @@ def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         },
     )
     sweep = fig.new_series("DynamicOuter2Phases")
+    # The cells share one phase-1 trajectory per replicate; each resumes
+    # from the prefix the previous one saved.
+    prefix = Phase1Prefix()
     for frac in fractions:
         summary = average_normalized_comm(
             StrategySpec("DynamicOuter2Phases", n, phase1_fraction=float(frac)),
@@ -303,6 +307,7 @@ def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
             seed=seed,
             workers=workers,
             cache=cache,
+            prefix=prefix,
         )
         sweep.add(100.0 * frac, summary.mean, summary.std)
 
@@ -359,6 +364,9 @@ def _beta_sweep(
     )
     sim_series = fig.new_series(two_phase)
     ana_series = fig.new_series("Analysis")
+    # Ascending β means ever longer phase 1s over one trajectory per
+    # replicate; each cell resumes from the prefix the previous one saved.
+    prefix = Phase1Prefix()
     for beta in betas:
         summary = average_normalized_comm(
             StrategySpec(two_phase, n, beta=float(beta)),
@@ -368,6 +376,7 @@ def _beta_sweep(
             seed=seed,
             workers=workers,
             cache=cache,
+            prefix=prefix,
         )
         sim_series.add(beta, summary.mean, summary.std)
         ana_series.add(beta, ratio(float(beta), rel, n))

@@ -25,6 +25,7 @@ from repro.platform.platform import Platform
 from repro.platform.speeds import SpeedModel
 from repro.simulator.batch import fallback_reason, simulate_batch
 from repro.simulator.engine import simulate
+from repro.simulator.vector_kernels import Phase1Prefix
 from repro.store.cache import ResultStore
 from repro.store.cells import load_cell, replicate_cell_key, save_cell
 from repro.store.fingerprint import fingerprint
@@ -174,6 +175,7 @@ def _batch_outcomes(
     platform_factory: PlatformFactory,
     n: int,
     collect_metrics: bool,
+    prefix: Optional[Phase1Prefix] = None,
 ) -> "List[tuple[float, Optional[Dict[str, Any]]]]":
     """Run one replicate per generator through the vectorized batch engine.
 
@@ -197,6 +199,7 @@ def _batch_outcomes(
         rngs=list(generators),
         speed_models=models,
         sinks=sinks,
+        prefix=prefix,
     )
     kernel = strategy_factory().kernel
     outcomes: List[tuple[float, Optional[Dict[str, Any]]]] = []
@@ -218,6 +221,7 @@ def average_normalized_comm(
     sink: Optional[MetricsSink] = None,
     cache: Optional[ResultStore] = None,
     vectorize: Union[bool, str] = "auto",
+    prefix: Optional[Phase1Prefix] = None,
 ) -> Summary:
     """Mean/std of normalized communication over *reps* simulations.
 
@@ -253,6 +257,15 @@ def average_normalized_comm(
     engine is bit-identical to the scalar oracle, the setting changes
     runtime only — summaries, sink snapshots and cache entries are the
     same objects either way (cache keys deliberately ignore it).
+
+    ``prefix`` is the :class:`~repro.simulator.vector_kernels.Phase1Prefix`
+    of a two-phase threshold sweep: the batch engine resumes each
+    replicate's phase 1 from the last snapshot an earlier cell of the
+    sweep saved, when this cell's threshold is no larger than that
+    cell's.  Like ``vectorize`` it changes runtime only, and it is
+    inert wherever it cannot apply (scalar or multi-process runs,
+    planning, sinks, dynamic speeds); a cell answered from *cache* leaves
+    it untouched.
     """
     if reps <= 0:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -318,6 +331,7 @@ def average_normalized_comm(
             platform_factory,
             n,
             collect_metrics=sink is not None,
+            prefix=prefix,
         )
         for value, snapshot in outcomes:
             stats.add(value)

@@ -30,11 +30,13 @@ from repro.simulator.serialize import (
     save_result,
 )
 from repro.simulator.trace import AssignmentRecord, FaultRecord, Trace
+from repro.simulator.vector_kernels import Phase1Prefix
 
 __all__ = [
     "simulate",
     "simulate_batch",
     "has_vector_kernel",
+    "Phase1Prefix",
     "LivelockError",
     "EventQueue",
     "SimulationResult",

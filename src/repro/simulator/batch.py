@@ -45,7 +45,7 @@ from repro.platform.speeds import DynamicSpeedModel, SpeedModel, StaticSpeedMode
 from repro.simulator.engine import simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.trace import AssignmentRecord, Trace
-from repro.simulator.vector_kernels import BatchContext, KernelRun, kernel_for
+from repro.simulator.vector_kernels import BatchContext, KernelRun, Phase1Prefix, kernel_for
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -190,6 +190,7 @@ def simulate_batch(
     collect_trace: bool = False,
     sinks: Optional[Sequence[Optional[MetricsSink]]] = None,
     memory_budget_bytes: Optional[int] = None,
+    prefix: Optional[Phase1Prefix] = None,
 ) -> List[SimulationResult]:
     """Run R replicates of one strategy cell, vectorized when possible.
 
@@ -223,6 +224,13 @@ def simulate_batch(
         is sliced along R into chunks that fit (replicates never
         interact, so slicing is exact).  ``None`` uses
         :data:`DEFAULT_MEMORY_BUDGET_BYTES`.
+    prefix:
+        Optional :class:`~repro.simulator.vector_kernels.Phase1Prefix`
+        shared by the cells of a two-phase threshold sweep: replicates
+        resume phase 1 from a matching snapshot instead of from scratch.
+        Results are unchanged; the handle is ignored on the scalar
+        fallback, by non-two-phase kernels, and under dynamic speeds,
+        traces or sinks.
 
     Returns
     -------
@@ -290,6 +298,7 @@ def simulate_batch(
             generators=generators[lo:hi],
             models=models[lo:hi],
             want_events=want_events,
+            prefix=prefix,
         )
         runs.extend(kernel.run(prototype, ctx))
     return [

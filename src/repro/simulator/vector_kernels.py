@@ -57,7 +57,7 @@ budget, keeping paper-scale ``(R, n, n, n)`` bitmaps in RAM.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -77,6 +77,7 @@ __all__ = [
     "BatchContext",
     "Event",
     "KernelRun",
+    "Phase1Prefix",
     "VectorKernel",
     "kernel_for",
 ]
@@ -92,6 +93,8 @@ class BatchContext(NamedTuple):
     ``speeds`` is the (R, p) float64 stack of ``platforms[r].speeds``;
     ``models`` holds the per-replicate speed models (already ``reset`` by
     the batch engine, ``None`` meaning static platform speeds).
+    ``prefix`` is the optional :class:`Phase1Prefix` of a two-phase
+    threshold sweep; every other kernel ignores it.
     """
 
     platforms: Sequence[Platform]
@@ -99,6 +102,7 @@ class BatchContext(NamedTuple):
     generators: Sequence[np.random.Generator]
     models: Sequence[Optional[SpeedModel]]
     want_events: bool
+    prefix: "Optional[Phase1Prefix]" = None
 
 
 class KernelRun(NamedTuple):
@@ -702,6 +706,20 @@ class _LockstepAccumulator:
             [[] for _ in range(R)] if want_events else None
         )
 
+    #: Per-replicate arrays (replicate axis first) a prefix snapshot keeps.
+    _ROW_FIELDS = (
+        "times", "seqs", "next_seq", "blocks_acc", "tasks_acc", "makespan", "n_events", "streak",
+    )
+
+    def save_row(self, r: int) -> List[np.ndarray]:
+        """Copy replicate *r*'s queue mirror and accumulators."""
+        return [np.copy(getattr(self, name)[r]) for name in self._ROW_FIELDS]
+
+    def load_row(self, r: int, row: List[np.ndarray]) -> None:
+        """Overwrite replicate *r*'s row with a :meth:`save_row` copy."""
+        for name, value in zip(self._ROW_FIELDS, row):
+            getattr(self, name)[r] = value
+
     def pop(self, act: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return _select_workers(self.times[act], self.seqs[act])
 
@@ -760,8 +778,46 @@ class _LockstepAccumulator:
         return runs
 
 
-class _OuterDynState:
-    """Vectorized DynamicOuter phase-1 state: knowledge + processed bitmap.
+class _DynState:
+    """Vectorized Dynamic* phase-1 state: knowledge + processed bitmap.
+
+    *dims* is the number of knowledge dimensions — 2 for the outer
+    product (rows of a, columns of b), 3 for matmul (I, J, K) — and the
+    processed bitmap has one axis per dimension after the replicate axis.
+    """
+
+    def __init__(self, R: int, p: int, n: int, dims: int) -> None:
+        self.n = n
+        self.processed = np.zeros((R,) + (n,) * dims, dtype=bool)
+        self.remaining = np.full(R, n**dims, dtype=np.int64)
+        # Per worker and dimension: unknown-set buffers, insertion-order
+        # buffers and known counts.
+        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (dims, R, p, n)).copy()
+        self.order = np.zeros((dims, R, p, n), dtype=np.int64)
+        self.cnt = np.zeros((dims, R, p), dtype=np.int64)
+
+    def save_row(self, r: int) -> List[np.ndarray]:
+        """Copy replicate *r*'s bitmap, remaining count and knowledge."""
+        return [
+            self.processed[r].copy(),
+            np.copy(self.remaining[r]),
+            self.items[:, r].copy(),
+            self.order[:, r].copy(),
+            self.cnt[:, r].copy(),
+        ]
+
+    def load_row(self, r: int, row: List[np.ndarray]) -> None:
+        """Overwrite replicate *r*'s row with a :meth:`save_row` copy."""
+        processed, remaining, items, order, cnt = row
+        self.processed[r] = processed
+        self.remaining[r] = remaining
+        self.items[:, r] = items
+        self.order[:, r] = order
+        self.cnt[:, r] = cnt
+
+
+class _OuterDynState(_DynState):
+    """Vectorized DynamicOuter phase-1 state.
 
     One :meth:`step` performs the scalar ``_dynamic_assign`` for a group
     of active replicates (two uniform dimension draws, cross marking over
@@ -771,14 +827,7 @@ class _OuterDynState:
     """
 
     def __init__(self, R: int, p: int, n: int) -> None:
-        self.n = n
-        self.processed = np.zeros((R, n, n), dtype=bool)
-        self.remaining = np.full(R, n * n, dtype=np.int64)
-        # Two knowledge dimensions (rows of a, columns of b) per worker:
-        # unknown-set buffers, insertion-order buffers and known counts.
-        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (2, R, p, n)).copy()
-        self.order = np.zeros((2, R, p, n), dtype=np.int64)
-        self.cnt = np.zeros((2, R, p), dtype=np.int64)
+        super().__init__(R, p, n, 2)
 
     def step(
         self,
@@ -888,7 +937,7 @@ def _mark_arm(
     return out
 
 
-class _MatrixDynState:
+class _MatrixDynState(_DynState):
     """Vectorized DynamicMatrix phase-1 state: I/J/K knowledge + cube bitmap.
 
     As :class:`_OuterDynState`, but with three dimensions, rectangle-growth
@@ -897,12 +946,7 @@ class _MatrixDynState:
     """
 
     def __init__(self, R: int, p: int, n: int) -> None:
-        self.n = n
-        self.processed = np.zeros((R, n, n, n), dtype=bool)
-        self.remaining = np.full(R, n**3, dtype=np.int64)
-        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (3, R, p, n)).copy()
-        self.order = np.zeros((3, R, p, n), dtype=np.int64)
-        self.cnt = np.zeros((3, R, p), dtype=np.int64)
+        super().__init__(R, p, n, 3)
 
     def step(
         self,
@@ -1040,6 +1084,65 @@ def _mark_slab(
 # ---------------------------------------------------------------------------
 
 
+class _Snapshot(NamedTuple):
+    """One replicate's phase-1 state at the pop where it met *threshold*."""
+
+    threshold: int
+    acc: List[np.ndarray]
+    state: List[np.ndarray]
+    rng_state: Mapping[str, Any]
+
+
+def _state_token(value: Any) -> Hashable:
+    """An exact, hashable stand-in for a ``bit_generator.state`` value."""
+    if isinstance(value, dict):
+        return tuple((k, _state_token(v)) for k, v in sorted(value.items()))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return value
+
+
+class Phase1Prefix:
+    """Phase-1 snapshots shared by the cells of one two-phase threshold sweep.
+
+    The cells of a β (or ``phase1_fraction``) sweep on a fixed platform
+    replay one phase-1 trajectory per replicate: the Dynamic* loop does
+    not depend on the threshold, so a cell that switches to phase 2 later
+    runs the earlier cell's whole phase 1 and then some.  Passed to
+    :func:`~repro.simulator.batch.simulate_batch` (``prefix=``), this
+    handle lets each two-phase kernel run save a replicate's state at the
+    pop where it meets its threshold, and lets a later run resume that
+    replicate from the saved pop instead of from scratch.
+
+    A replicate resumes only when its kernel (outer or matrix), ``n``,
+    ``p``, speed row and generator state at kernel entry all match the
+    snapshot's, and its own threshold is at most the snapshot's — every
+    earlier pop then had more tasks remaining than either threshold, so
+    both runs took the same phase-1 steps up to it.  The handle is used
+    only on static speeds with no trace or sink; anything else starts
+    fresh.  It holds the last snapshot per replicate key, so results are
+    bit-identical with or without it, in any cell order.
+    """
+
+    def __init__(self) -> None:
+        self._rows: Dict[Hashable, _Snapshot] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def nbytes(self) -> int:
+        """Array bytes held by the snapshots."""
+        return sum(a.nbytes for snap in self._rows.values() for a in snap.acc + snap.state)
+
+    def _resume(self, key: Hashable, threshold: int) -> Optional[_Snapshot]:
+        snap = self._rows.get(key)
+        return snap if snap is not None and threshold <= snap.threshold else None
+
+    def _save(self, key: Hashable, snap: _Snapshot) -> None:
+        self._rows[key] = snap
+
+
 class _TwoPhaseKernel(VectorKernel):
     """Lockstep kernel for the two-phase strategies (Algorithm 2 / §4.1).
 
@@ -1062,6 +1165,11 @@ class _TwoPhaseKernel(VectorKernel):
     frozen caches (:meth:`_phase2_analytic`).  Only replicates on a
     dynamic speed model stay in the event loop, their phases advancing
     side by side through the shared queue.
+
+    With a :class:`Phase1Prefix` in the context (static speeds, no
+    events), each replicate first resumes from a matching snapshot, and
+    saves its state to the handle at its crossing pop before the
+    closed-form close-out.
     """
 
     def __init__(self, kind: str, strategy_name: str) -> None:
@@ -1087,7 +1195,21 @@ class _TwoPhaseKernel(VectorKernel):
             [prototype.resolve_threshold(pl) for pl in ctx.platforms], dtype=np.int64
         )
         acc = _LockstepAccumulator(self.strategy_name, R, p, n, ctx.want_events)
-        state = _OuterDynState(R, p, n) if outer else _MatrixDynState(R, p, n)
+        state: "_OuterDynState | _MatrixDynState" = (
+            _OuterDynState(R, p, n) if outer else _MatrixDynState(R, p, n)
+        )
+        prefix = ctx.prefix if replay is None and not ctx.want_events else None
+        keys: List[Hashable] = []
+        if prefix is not None:
+            for r in range(R):
+                gen = ctx.generators[r]
+                token = _state_token(gen.bit_generator.state)
+                keys.append((self._kind, n, p, ctx.speeds[r].tobytes(), token))
+                snap = prefix._resume(keys[r], int(thresholds[r]))
+                if snap is not None:
+                    acc.load_row(r, snap.acc)
+                    state.load_row(r, snap.state)
+                    gen.bit_generator.state = snap.rng_state
         phase2 = np.zeros(R, dtype=bool)
         p2_items: List[Optional[List[int]]] = [None] * R
         caches: Optional[_BlockCaches] = None
@@ -1099,6 +1221,16 @@ class _TwoPhaseKernel(VectorKernel):
             if crossing.any():
                 for r in act[crossing].tolist():
                     if replay is None or replay[r] is None:
+                        if prefix is not None:
+                            prefix._save(
+                                keys[r],
+                                _Snapshot(
+                                    int(thresholds[r]),
+                                    acc.save_row(r),
+                                    state.save_row(r),
+                                    ctx.generators[r].bit_generator.state,
+                                ),
+                            )
                         # Static speeds: the remainder is closed-form.
                         self._phase2_analytic(int(r), state, acc, ctx)
                         continue
@@ -1149,7 +1281,7 @@ class _TwoPhaseKernel(VectorKernel):
 
     def _freeze(
         self,
-        state: "_OuterDynState | _MatrixDynState",
+        state: _DynState,
         caches: _BlockCaches,
         r: int,
         p: int,
@@ -1181,7 +1313,7 @@ class _TwoPhaseKernel(VectorKernel):
     def _phase2_analytic(
         self,
         r: int,
-        state: "_OuterDynState | _MatrixDynState",
+        state: _DynState,
         acc: _LockstepAccumulator,
         ctx: BatchContext,
     ) -> None:

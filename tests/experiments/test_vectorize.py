@@ -139,6 +139,11 @@ class TestBenchScaling:
     def test_scaling_suite_records_engine_params(self):
         by_name = {wl.name: wl for wl in build_suite("scaling")}
         assert by_name["scaling_reps04_vectorized"].params["engine"] == "vectorized"
+        for reps in (1, 4, 16, 64):
+            # parallel4 measures processes alone: the scalar engine in 4 workers.
+            par = by_name[f"scaling_reps{reps:02d}_parallel4"].params
+            assert (par["workers"], par["vectorize"], par["engine"]) == (4, False, "scalar")
+            assert par["vectorize_fallback"] == "forced"
         assert by_name["twophase_beta_sweep_vectorized"].params["engine"] == "vectorized"
         serial = by_name["twophase_beta_sweep_serial"].params
         assert serial["engine"] == "scalar"
@@ -177,8 +182,9 @@ class TestBenchScaling:
             "replicate_sweep_parallel4": self._entry(4.0),
         }
         assert _derive_metrics(entries, cpu_count=4)["parallel_speedup_ok"] is False
-        # Warn-only on a single-CPU machine: parallelism cannot win there.
-        assert _derive_metrics(entries, cpu_count=1)["parallel_speedup_ok"] is True
+        # A single-CPU machine cannot measure parallelism: say so.
+        assert _derive_metrics(entries, cpu_count=1)["parallel_speedup_ok"] == "unmeasured"
+        assert _derive_metrics(entries, cpu_count=None)["parallel_speedup_ok"] == "unmeasured"
 
     def test_derive_metrics_scaling_curve(self):
         entries = {}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.strategies.registry import make_strategy
 from repro.platform import Platform, uniform_speeds
 from repro.platform.speeds import make_scenario
-from repro.simulator import simulate, simulate_batch
+from repro.simulator import Phase1Prefix, simulate, simulate_batch
 from repro.utils.rng import spawn_rngs
 
 VECTORIZED_OUTER = ["RandomOuter", "SortedOuter", "DynamicOuter", "MapReduceOuter"]
@@ -128,6 +128,67 @@ def test_two_phase_traces_fingerprint_match_scalar(case):
         assert trace_fingerprint(ref) == trace_fingerprint(got)
     for bg, sg in zip(batch_gens, scalar_gens):
         assert bg.bit_generator.state == sg.bit_generator.state
+
+
+@st.composite
+def prefix_sweep_case(draw):
+    name = draw(st.sampled_from(TWO_PHASE))
+    n = draw(st.integers(1, 5)) if "Matrix" in name else draw(st.integers(1, 10))
+    p = draw(st.integers(1, 10))
+    # A threshold grid in any order, with repeats: a sweep's cells.
+    keyword, values = draw(
+        st.sampled_from(
+            [
+                ("beta", st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0])),
+                ("phase1_fraction", st.sampled_from([0.0, 0.3, 0.7, 0.9, 1.0])),
+                ("threshold_tasks", st.integers(0, 2 * n**3)),
+            ]
+        )
+    )
+    grid = draw(st.lists(values, min_size=2, max_size=5))
+    budget = draw(st.sampled_from([None, 1]))
+    platform_seed = draw(st.integers(0, 2**31))
+    seed = draw(st.integers(0, 2**31))
+    return name, n, p, keyword, grid, budget, platform_seed, seed
+
+
+def result_fingerprint(result):
+    return (
+        result.total_blocks,
+        result.n_assignments,
+        result.makespan,
+        result.per_worker_blocks.tolist(),
+        result.per_worker_tasks.tolist(),
+    )
+
+
+@given(prefix_sweep_case())
+@settings(**COMMON)
+def test_phase1_prefix_sweep_matches_scalar(case):
+    # One Phase1Prefix shared across a sweep's cells, in any order and
+    # with any replicate chunking, changes nothing a cell returns.
+    name, n, p, keyword, grid, budget, platform_seed, seed = case
+    platform = Platform(uniform_speeds(p, 10.0, 100.0, rng=platform_seed))
+    reps = 2
+    prefix = Phase1Prefix()
+    for value in grid:
+        kwargs = {keyword: value}
+        scalar_gens = spawn_rngs(seed, reps)
+        refs = [
+            simulate(make_strategy(name, n, **kwargs), platform, rng=g) for g in scalar_gens
+        ]
+        batch_gens = spawn_rngs(seed, reps)
+        gots = simulate_batch(
+            lambda: make_strategy(name, n, **kwargs),
+            [platform] * reps,
+            rngs=batch_gens,
+            memory_budget_bytes=budget,
+            prefix=prefix,
+        )
+        for ref, got in zip(refs, gots):
+            assert result_fingerprint(ref) == result_fingerprint(got)
+        for bg, sg in zip(batch_gens, scalar_gens):
+            assert bg.bit_generator.state == sg.bit_generator.state
 
 
 @st.composite
