@@ -45,11 +45,10 @@ import numpy as np
 
 from repro.core.strategies.registry import make_strategy
 from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
-from repro.experiments.runner import average_normalized_comm
+from repro.experiments.runner import average_normalized_comm, resolve_vectorize
 from repro.obs.profile import StageProfiler, wall_time
 from repro.platform.platform import Platform
 from repro.platform.speeds import uniform_speeds
-from repro.simulator.batch import fallback_reason
 from repro.simulator.engine import simulate
 from repro.simulator.events import EventQueue
 from repro.taskpool.sample_set import SampleSet
@@ -178,34 +177,41 @@ def _sample_drain_workload(size: int) -> WorkloadFn:
     return run
 
 
-def _engine_params(strategy: StrategySpec, vectorize: "bool | str") -> Dict[str, Any]:
+def _engine_params(
+    strategy: StrategySpec, vectorize: "bool | str", reps: Optional[int] = None
+) -> Dict[str, Any]:
     """BENCH-JSON engine metadata for a sweep workload.
 
     Resolves what engine the workload's replicates actually run on, so a
-    ``vectorize="auto"`` scalar fallback is recorded in the committed
-    record rather than silently skewing a comparison: ``engine`` is
+    ``vectorize="auto"`` scalar run is recorded in the committed record
+    rather than silently skewing a comparison: ``engine`` is
     ``"vectorized"`` or ``"scalar"``, and ``vectorize_fallback`` names the
-    reason (``"forced"`` for an explicit ``vectorize=False``, else a
-    :func:`repro.simulator.batch.fallback_reason` string).
+    reason :func:`~repro.experiments.runner.resolve_vectorize` gives at
+    *reps* replicates (``"forced"`` for an explicit ``vectorize=False``,
+    ``"small-batch"``, or a :func:`repro.simulator.batch.fallback_reason`
+    string).
     """
-    if vectorize is False:
-        return {"engine": "scalar", "vectorize_fallback": "forced"}
-    reason = fallback_reason(strategy())
-    if reason is None:
+    use_batch, reason = resolve_vectorize(vectorize, strategy, reps)
+    if use_batch:
         return {"engine": "vectorized"}
     return {"engine": "scalar", "vectorize_fallback": reason}
 
 
 def _sweep_workload(
-    n: int, p: int, reps: int, workers: int, vectorize: "bool | str" = "auto"
+    n: int,
+    p: int,
+    reps: int,
+    workers: int,
+    vectorize: "bool | str" = "auto",
+    strategy_name: str = "RandomMatrix",
 ) -> WorkloadFn:
-    """Figure-9-style replicate sweep: RandomMatrix averaged over *reps*.
+    """Figure-9-style replicate sweep: one strategy averaged over *reps*.
 
     *vectorize* pins the engine selection so the serial baseline stays a
     pure scalar-loop measurement (comparable with pre-batch records) while
     the vectorized workload measures the batch engine.
     """
-    strategy = StrategySpec("RandomMatrix", n)
+    strategy = StrategySpec(strategy_name, n)
     platform_spec = UniformPlatformSpec(p)
 
     def run(seed: int, prof: StageProfiler) -> object:
@@ -336,13 +342,25 @@ def _serve_roundtrip_workload(cells: int, n: int, reps: int) -> WorkloadFn:
     return run
 
 
+#: The lockstep cells of the scaling suite: (row prefix, strategy, n, p).
+#: Their serial/vectorized rows measure where the batch engine starts to
+#: beat the scalar loop, which sets
+#: :data:`repro.simulator.batch.LOCKSTEP_MIN_REPLICATES`.
+_LOCKSTEP_CELLS = (
+    ("lockstep_outer", "DynamicOuter", 100, 100),
+    ("lockstep_matrix2p", "DynamicMatrix2Phases", 40, 100),
+)
+
+
 def _scaling_suite() -> List[Workload]:
     """The replicate-count scaling sweep plus the two-phase β sweep.
 
-    R ∈ {1, 4, 16, 64} × 3 engines for RandomMatrix, and a serial vs
-    vectorized DynamicMatrix2Phases β sweep — the cell the two-phase
-    kernels' committed speedup is measured on.  The ``parallel4`` rows
-    pin ``vectorize=False``, so their speedup over ``serial`` is process
+    R ∈ {1, 4, 16, 64} × 3 engines for RandomMatrix; R ∈ {1, 4, 16, 64}
+    × serial/vectorized for the :data:`_LOCKSTEP_CELLS`, the kernels that
+    step one event at a time; and a serial vs vectorized
+    DynamicMatrix2Phases β sweep — the cell the two-phase kernels'
+    committed speedup is measured on.  The ``parallel4`` rows pin
+    ``vectorize=False``, so their speedup over ``serial`` is process
     parallelism alone, not the batch engine.
     """
     n, p = 16, 50
@@ -371,6 +389,18 @@ def _scaling_suite() -> List[Workload]:
                 _sweep_workload(n, p, reps, 4, vectorize=False),
             )
         )
+    for prefix, name, cell_n, cell_p in _LOCKSTEP_CELLS:
+        cell_spec = StrategySpec(name, cell_n)
+        for reps in (1, 4, 16, 64):
+            base = {"strategy": name, "n": cell_n, "p": cell_p, "reps": reps, "workers": 1}
+            for engine, vectorize in (("serial", False), ("vectorized", True)):
+                workloads.append(
+                    Workload(
+                        f"{prefix}_reps{reps:02d}_{engine}",
+                        {**base, "vectorize": vectorize, **_engine_params(cell_spec, vectorize)},
+                        _sweep_workload(cell_n, cell_p, reps, 1, vectorize, name),
+                    )
+                )
     # DynamicMatrix2Phases is the cell where vectorization pays most: the
     # scalar engine's per-event cost (cube marking, three n^2 block
     # caches) dwarfs the kernel's, and the static-speed phase-2 tail is
@@ -518,7 +548,10 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
     * ``twophase_beta_sweep_speedup`` — the same ratio for the scaling
       suite's DynamicOuter2Phases β sweep, pinning the two-phase kernels;
     * ``scaling_curve`` — one row per replicate count of the scaling
-      suite, with both speedups.
+      suite, with both speedups;
+    * ``lockstep_curve`` — per :data:`_LOCKSTEP_CELLS` strategy, one row
+      per replicate count with the vectorized speedup (below 1.0 the
+      scalar loop wins).
     """
 
     def median_of(name: str) -> Optional[float]:
@@ -556,6 +589,23 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
         )
     if curve:
         derived["scaling_curve"] = curve
+    lockstep: Dict[str, List[Dict[str, Any]]] = {}
+    for prefix, name, _, _ in _LOCKSTEP_CELLS:
+        for reps in (1, 4, 16, 64):
+            s = median_of(f"{prefix}_reps{reps:02d}_serial")
+            v = median_of(f"{prefix}_reps{reps:02d}_vectorized")
+            if s is None or v is None:
+                continue
+            lockstep.setdefault(name, []).append(
+                {
+                    "reps": reps,
+                    "serial_s": s,
+                    "vectorized_s": v,
+                    "vectorized_speedup": s / v if v > 0 else None,
+                }
+            )
+    if lockstep:
+        derived["lockstep_curve"] = lockstep
     tp_serial = median_of("twophase_beta_sweep_serial")
     tp_vec = median_of("twophase_beta_sweep_vectorized")
     if tp_serial is not None and tp_vec is not None and tp_vec > 0:
@@ -769,6 +819,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  two-phase beta sweep speedup (vectorized): "
             f"{derived['twophase_beta_sweep_speedup']:.2f}x"
         )
+    for name, rows in derived.get("lockstep_curve", {}).items():
+        speedups = ", ".join(f"R={row['reps']} {row['vectorized_speedup']:.2f}x" for row in rows)
+        print(f"  {name} vectorized speedup: {speedups}")
     if derived.get("parallel_speedup_ok") is False:
         print(
             "warning: parallel replicate sweep is slower than serial on a "

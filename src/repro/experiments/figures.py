@@ -41,9 +41,18 @@ from repro.experiments.parallel import (
     StrategySpec,
     UniformPlatformSpec,
 )
-from repro.experiments.runner import average_normalized_comm, mean_analysis_ratio
+from repro.experiments.runner import (
+    average_normalized_comm,
+    mean_analysis_ratio,
+    resolve_vectorize,
+)
 from repro.platform.platform import Platform
-from repro.platform.speeds import SCENARIO_NAMES, uniform_speeds
+from repro.platform.speeds import (
+    SCENARIO_NAMES,
+    DynamicSpeedModel,
+    SpeedModel,
+    uniform_speeds,
+)
 from repro.simulator.vector_kernels import Phase1Prefix
 from repro.store.cache import ResultStore
 from repro.utils.rng import SeedLike, as_generator
@@ -73,20 +82,45 @@ MATRIX_BASELINES = ("RandomMatrix", "SortedMatrix", "DynamicMatrix")
 NORMALIZED_YLABEL = "Normalized communication amount"
 
 
-def _engine_meta(strategy_names: Sequence[str], n: int) -> Dict[str, str]:
+def _engine_meta(
+    strategy_names: Sequence[str],
+    n: int,
+    reps: int,
+    *,
+    prefixed: Sequence[str] = (),
+    dynamic_speeds: bool = False,
+) -> Dict[str, str]:
     """Sweep metadata: which engine each strategy's replicates run on.
 
-    ``"vectorized"`` when the batch engine covers the strategy, else
-    ``"scalar (<reason>)"`` with the
-    :func:`repro.simulator.batch.fallback_reason` string — recorded per
-    figure so a silent scalar fallback shows up in exported meta.
+    ``"vectorized"`` when the batch engine runs the strategy's cells, else
+    ``"scalar (<reason>)"`` with the reason
+    :func:`~repro.experiments.runner.resolve_vectorize` gives at *reps*
+    replicates: a :func:`repro.simulator.batch.fallback_reason` string or
+    ``"small-batch"`` — recorded per figure so a scalar run shows up in
+    exported meta.  Strategies named in *prefixed* carry the sweep's
+    :class:`~repro.simulator.vector_kernels.Phase1Prefix` handle.  With
+    *dynamic_speeds* (Figure 8's ``dyn.*`` scenarios) a strategy whose
+    engine differs under a dynamic speed model reads
+    ``"<static label>; dyn.*: <dynamic label>"``.
     """
-    from repro.simulator.batch import fallback_reason
+
+    def label(name: str, models: Optional[Sequence[SpeedModel]]) -> str:
+        _, reason = resolve_vectorize(
+            "auto",
+            StrategySpec(name, n),
+            reps,
+            speed_models=models,
+            prefix=Phase1Prefix() if name in prefixed else None,
+        )
+        return "vectorized" if reason is None else f"scalar ({reason})"
 
     engines: Dict[str, str] = {}
     for name in strategy_names:
-        reason = fallback_reason(StrategySpec(name, n)())
-        engines[name] = "vectorized" if reason is None else f"scalar ({reason})"
+        engines[name] = label(name, None)
+        if dynamic_speeds:
+            dynamic = label(name, [DynamicSpeedModel(0.05)])
+            if dynamic != engines[name]:
+                engines[name] = f"{engines[name]}; dyn.*: {dynamic}"
     return engines
 
 
@@ -130,7 +164,7 @@ def _sweep_vs_p(
             "kernel": kernel,
             "n": n,
             "reps": reps,
-            "engine": _engine_meta(strategy_names, n),
+            "engine": _engine_meta(strategy_names, n, reps),
         },
     )
     for name in strategy_names:
@@ -291,7 +325,12 @@ def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
             "n": n,
             "p": p,
             "reps": reps,
-            "engine": _engine_meta(("DynamicOuter2Phases",) + OUTER_BASELINES, n),
+            "engine": _engine_meta(
+                ("DynamicOuter2Phases",) + OUTER_BASELINES,
+                n,
+                reps,
+                prefixed=("DynamicOuter2Phases",),
+            ),
         },
     )
     sweep = fig.new_series("DynamicOuter2Phases")
@@ -359,7 +398,7 @@ def _beta_sweep(
             "reps": reps,
             "beta_opt_analysis": beta_opt(rel, n),
             "beta_opt_agnostic": agnostic_beta(kernel, p, n),
-            "engine": _engine_meta((two_phase, dynamic), n),
+            "engine": _engine_meta((two_phase, dynamic), n, reps, prefixed=(two_phase,)),
         },
     )
     sim_series = fig.new_series(two_phase)
@@ -464,7 +503,7 @@ def fig07(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
             "n": n,
             "p": p,
             "reps": reps,
-            "engine": _engine_meta(OUTER_BASELINES + ("DynamicOuter2Phases",), n),
+            "engine": _engine_meta(OUTER_BASELINES + ("DynamicOuter2Phases",), n, reps),
         },
     )
     names = OUTER_BASELINES + ("DynamicOuter2Phases",)
@@ -502,7 +541,9 @@ def fig08(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
             "n": n,
             "p": p,
             "reps": reps,
-            "engine": _engine_meta(OUTER_BASELINES + ("DynamicOuter2Phases",), n),
+            "engine": _engine_meta(
+                OUTER_BASELINES + ("DynamicOuter2Phases",), n, reps, dynamic_speeds=True
+            ),
         },
         x_categories=list(scenarios),
     )

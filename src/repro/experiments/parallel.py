@@ -258,19 +258,26 @@ def _rep_values(
     platform_factory: PlatformFactory,
     n: int,
     collect_metrics: bool = False,
-    vectorize: bool = False,
+    vectorize: Union[bool, str] = False,
 ) -> List[RepOutcome]:
     """Run the repetitions *indices*, each from its own pre-spawned stream.
 
-    With *vectorize* (a resolved boolean — ``"auto"`` is decided before the
-    job is built) the whole index batch runs through the batch engine in
-    one lockstep call; outcomes still come back in *indices* order and stay
-    bit-identical to the scalar loop.
+    With *vectorize* ``True`` or ``"auto"`` (the strategy's kernel check
+    is decided before the job is built) the whole index batch goes through
+    :func:`~repro.experiments.runner._batch_outcomes` in one call, which
+    under ``"auto"`` runs a small lockstep batch on the scalar loop just as
+    the serial path does; outcomes still come back in *indices* order and
+    stay bit-identical to the scalar loop.
     """
     if vectorize:
         generators = [as_generator(seeds[i]) for i in indices]
         return _batch_outcomes(
-            generators, strategy_factory, platform_factory, n, collect_metrics
+            generators,
+            strategy_factory,
+            platform_factory,
+            n,
+            collect_metrics,
+            force_kernel=vectorize is True,
         )
     outcomes: List[RepOutcome] = []
     for i in indices:
@@ -313,14 +320,14 @@ class RepJob:
         n: int,
         seeds: Sequence[np.random.SeedSequence],
         collect_metrics: bool = False,
-        vectorize: bool = False,
+        vectorize: Union[bool, str] = False,
     ) -> None:
         self.strategy_factory = strategy_factory
         self.platform_factory = platform_factory
         self.n = check_positive_int("n", n)
         self.seeds: List[np.random.SeedSequence] = list(seeds)
         self.collect_metrics = bool(collect_metrics)
-        self.vectorize = bool(vectorize)
+        self.vectorize: Union[bool, str] = "auto" if vectorize == "auto" else bool(vectorize)
 
     def run(self, indices: Sequence[int]) -> List[RepOutcome]:
         """Per-repetition ``(value, snapshot)`` outcomes for *indices*."""
@@ -538,8 +545,9 @@ def parallel_average_normalized_comm(
     worker processes safe.
 
     ``vectorize`` (``"auto"``/``True``/``False``) selects the batch engine
-    inside each worker's chunk, exactly as in the serial entry point; it is
-    resolved here once so worker processes never re-decide.
+    inside each worker's chunk, exactly as in the serial entry point.  The
+    kernel check is resolved here once; under ``"auto"`` each chunk then
+    applies the small-batch rule to its own replicate count.
     """
     if reps <= 0:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -565,7 +573,7 @@ def parallel_average_normalized_comm(
         n,
         spawn_seed_sequences(seed, reps),
         collect_metrics=sink is not None,
-        vectorize=use_batch,
+        vectorize=vectorize if use_batch else False,
     )
     if nworkers <= 1:
         outcomes = job.run(list(range(reps)))

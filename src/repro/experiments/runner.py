@@ -23,7 +23,12 @@ from repro.core.strategies.base import Strategy
 from repro.obs.sink import MetricsSink, RecordingSink
 from repro.platform.platform import Platform
 from repro.platform.speeds import SpeedModel
-from repro.simulator.batch import fallback_reason, simulate_batch
+from repro.simulator.batch import (
+    LOCKSTEP_MIN_REPLICATES,
+    fallback_reason,
+    simulate_batch,
+    steps_in_lockstep,
+)
 from repro.simulator.engine import simulate
 from repro.simulator.vector_kernels import Phase1Prefix
 from repro.store.cache import ResultStore
@@ -128,21 +133,51 @@ def _rep_normalized_comm(
     return result.normalized(lb)
 
 
+def _small_batch(
+    prototype: Strategy,
+    reps: int,
+    speed_models: Optional[Sequence[Optional[SpeedModel]]],
+    prefix: Optional[Phase1Prefix],
+) -> bool:
+    """The ``vectorize="auto"`` rule for batches the scalar loop runs faster.
+
+    A batch that steps in lockstep
+    (:func:`~repro.simulator.batch.steps_in_lockstep`) runs the scalar
+    loop below :data:`~repro.simulator.batch.LOCKSTEP_MIN_REPLICATES`
+    replicates, unless it carries a *prefix* handle: resumed phase-1
+    prefixes keep the kernel far ahead at any R.
+    """
+    return (
+        prefix is None
+        and reps < LOCKSTEP_MIN_REPLICATES
+        and steps_in_lockstep(prototype, speed_models)
+    )
+
+
 def resolve_vectorize(
-    vectorize: Union[bool, str], strategy_factory: StrategyFactory
+    vectorize: Union[bool, str],
+    strategy_factory: StrategyFactory,
+    reps: Optional[int] = None,
+    *,
+    speed_models: Optional[Sequence[Optional[SpeedModel]]] = None,
+    prefix: Optional[Phase1Prefix] = None,
 ) -> "tuple[bool, Optional[str]]":
     """Resolve a ``vectorize`` option against the strategy's capabilities.
 
     Returns ``(use_batch, reason)``: *use_batch* selects the engine and
     *reason* names why the scalar loop runs when it does (a
-    :func:`repro.simulator.batch.fallback_reason` string, or ``"forced"``
-    for an explicit ``vectorize=False``; ``None`` on the fast path).
-    Sweep metadata records the reason so auto fallbacks are visible in
-    bench and report output rather than silent.
+    :func:`repro.simulator.batch.fallback_reason` string, ``"forced"``
+    for an explicit ``vectorize=False``, or ``"small-batch"``; ``None``
+    on the fast path).  Sweep metadata records the reason so auto
+    fallbacks are visible in bench and report output rather than silent.
 
     ``"auto"`` opts in iff the strategy's exact type has a vector kernel
     (and does not collect per-task ids); ``True`` demands one and raises
-    when unavailable; ``False`` always runs scalar.
+    when unavailable; ``False`` always runs scalar.  Given the batch's
+    replicate count *reps* (and, when known, its *speed_models* and
+    *prefix* handle), ``"auto"`` also runs a lockstep batch of fewer than
+    :data:`~repro.simulator.batch.LOCKSTEP_MIN_REPLICATES` replicates on
+    the scalar loop, reason ``"small-batch"``.
     """
     if vectorize is False:
         return False, "forced"
@@ -159,6 +194,13 @@ def resolve_vectorize(
             "type, or per-task id collection); use vectorize='auto' to fall "
             "back transparently"
         )
+    if (
+        reason is None
+        and vectorize == "auto"
+        and reps is not None
+        and _small_batch(prototype, reps, speed_models, prefix)
+    ):
+        reason = "small-batch"
     return reason is None, reason
 
 
@@ -176,6 +218,8 @@ def _batch_outcomes(
     n: int,
     collect_metrics: bool,
     prefix: Optional[Phase1Prefix] = None,
+    *,
+    force_kernel: bool = False,
 ) -> "List[tuple[float, Optional[Dict[str, Any]]]]":
     """Run one replicate per generator through the vectorized batch engine.
 
@@ -183,6 +227,10 @@ def _batch_outcomes(
     exactly: the platform draw comes first on each stream, then the
     simulation, so outcomes (values and metric snapshots alike) are
     bit-identical to the scalar unit of work — just computed in lockstep.
+
+    Once the draws reveal the speed models, a small lockstep batch (see
+    :func:`_small_batch`) runs :func:`~repro.simulator.simulate` per
+    replicate instead, unless *force_kernel* (``vectorize=True``).
     """
     platforms: List[Platform] = []
     models: List[Optional[SpeedModel]] = []
@@ -193,18 +241,30 @@ def _batch_outcomes(
     sinks: Optional[List[RecordingSink]] = (
         [RecordingSink() for _ in generators] if collect_metrics else None
     )
-    results = simulate_batch(
-        strategy_factory,
-        platforms,
-        rngs=list(generators),
-        speed_models=models,
-        sinks=sinks,
-        prefix=prefix,
-    )
-    kernel = strategy_factory().kernel
+    prototype = strategy_factory()
+    if not force_kernel and _small_batch(prototype, len(generators), models, prefix):
+        results = [
+            simulate(
+                strategy_factory(),
+                platforms[r],
+                rng=generator,
+                speed_model=models[r],
+                sink=None if sinks is None else sinks[r],
+            )
+            for r, generator in enumerate(generators)
+        ]
+    else:
+        results = simulate_batch(
+            strategy_factory,
+            platforms,
+            rngs=list(generators),
+            speed_models=models,
+            sinks=sinks,
+            prefix=prefix,
+        )
     outcomes: List[tuple[float, Optional[Dict[str, Any]]]] = []
     for idx, result in enumerate(results):
-        lb = lower_bound(kernel, platforms[idx].relative_speeds, n)
+        lb = lower_bound(prototype.kernel, platforms[idx].relative_speeds, n)
         snapshot = sinks[idx].snapshot() if sinks is not None else None
         outcomes.append((result.normalized(lb), snapshot))
     return outcomes
@@ -252,8 +312,12 @@ def average_normalized_comm(
 
     ``vectorize`` selects the batch engine
     (:func:`repro.simulator.simulate_batch`): ``"auto"`` (the default) uses
-    it whenever the strategy has a vector kernel, ``False`` forces the
-    scalar loop, ``True`` raises if no kernel exists.  Because the batch
+    it whenever the strategy has a vector kernel, except that a batch
+    stepping in lockstep with fewer than
+    :data:`~repro.simulator.batch.LOCKSTEP_MIN_REPLICATES` replicates and
+    no *prefix* runs the scalar loop, which is faster there.  ``False``
+    forces the scalar loop, ``True`` forces the kernel at any replicate
+    count and raises if no kernel exists.  Because the batch
     engine is bit-identical to the scalar oracle, the setting changes
     runtime only — summaries, sink snapshots and cache entries are the
     same objects either way (cache keys deliberately ignore it).
@@ -332,6 +396,7 @@ def average_normalized_comm(
             n,
             collect_metrics=sink is not None,
             prefix=prefix,
+            force_kernel=vectorize is True,
         )
         for value, snapshot in outcomes:
             stats.add(value)

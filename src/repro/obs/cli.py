@@ -103,16 +103,31 @@ def _engine_note(strategies: List[str], n: int) -> str:
     """One line naming the batch-engine coverage of the reported strategies.
 
     Replicate sweeps over these strategies take the vectorized fast path
-    unless :func:`repro.simulator.batch.fallback_reason` says otherwise —
-    naming the reason here keeps scalar fallbacks visible from the CLI.
+    unless :func:`repro.simulator.batch.fallback_reason` says otherwise,
+    or unless the strategy steps in lockstep and the sweep has fewer than
+    :data:`~repro.simulator.batch.LOCKSTEP_MIN_REPLICATES` replicates
+    (``"small-batch"``) — naming the reason here keeps scalar runs
+    visible from the CLI.
     """
     from repro.core.strategies.registry import make_strategy
-    from repro.simulator.batch import fallback_reason
+    from repro.simulator.batch import (
+        LOCKSTEP_MIN_REPLICATES,
+        fallback_reason,
+        steps_in_lockstep,
+    )
 
     parts = []
     for name in strategies:
-        reason = fallback_reason(make_strategy(name, n))
-        parts.append(name if reason is None else f"{name}: scalar ({reason})")
+        strategy = make_strategy(name, n)
+        reason = fallback_reason(strategy)
+        if reason is not None:
+            parts.append(f"{name}: scalar ({reason})")
+        elif steps_in_lockstep(strategy):
+            parts.append(
+                f"{name}: scalar (small-batch) below {LOCKSTEP_MIN_REPLICATES} replicates"
+            )
+        else:
+            parts.append(name)
     scalars = [part for part in parts if "(" in part]
     if not scalars:
         return f"engine: vectorized batch kernels cover {', '.join(parts)}"

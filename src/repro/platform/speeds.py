@@ -152,6 +152,13 @@ class DynamicSpeedModel(SpeedModel):
         if n_tasks == 0:
             return 0.0
         s0 = self._speeds[worker]
+        if n_tasks == 1:
+            # The array path below with one task, without its array
+            # overhead: one draw, the same value and the same stream state.
+            self._speeds[worker] = max(
+                s0 * (1.0 + self._rng.uniform(-self.jitter, self.jitter)), _SPEED_FLOOR
+            )
+            return float(1.0 / max(s0, _SPEED_FLOOR))
         # Speed while computing task t is s0 * prod(factors[:t]); the change
         # happens *after* each task, so the first task runs at s0.
         factors = 1.0 + self._rng.uniform(-self.jitter, self.jitter, size=n_tasks)

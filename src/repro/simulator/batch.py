@@ -19,6 +19,11 @@ heterogeneity sweeps vectorize too.  Only strategy subclasses without a
 kernel, per-task id collection, mixed worker counts, or custom/shared
 model instances still drop to the scalar loop.
 
+A batch that steps in lockstep (:func:`steps_in_lockstep`) is slower
+than R scalar runs below :data:`LOCKSTEP_MIN_REPLICATES` replicates.
+:func:`simulate_batch` still runs the kernel when called; the sweep
+runner's ``vectorize="auto"`` sends such batches to the scalar loop.
+
 Large batches are sliced along the replicate axis: each kernel reports a
 per-replicate working-set estimate and :func:`simulate_batch` runs
 ``ceil(R / chunk)`` kernel invocations whose state fits
@@ -50,19 +55,55 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
+    "LOCKSTEP_MIN_REPLICATES",
     "fallback_reason",
     "has_vector_kernel",
     "simulate_batch",
+    "steps_in_lockstep",
 ]
 
 #: Default ceiling on kernel working-set bytes per batch; replicate
 #: chunks are sized so paper-scale (R, n, n, n) bitmaps stay in RAM.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
+#: Replicate count from which ``vectorize="auto"`` in
+#: :mod:`repro.experiments.runner` runs a batch that steps in lockstep
+#: (:func:`steps_in_lockstep`) on its kernel; smaller batches run the
+#: scalar loop.  Below the crossover each lockstep step pays numpy
+#: dispatch for only a handful of rows, and R scalar runs are faster.
+#: Measured by the DynamicOuter and DynamicMatrix2Phases rows of the
+#: ``repro-bench --suite scaling`` record
+#: ``results/BENCH_20261018T024005Z.json`` (2-CPU host): the kernel ran at
+#: 0.10x / 0.29x / 0.90x / 1.84x the scalar loop's speed at R = 1 / 4 /
+#: 16 / 64 on DynamicOuter (n=100, p=100), and 0.21x / 0.64x / 1.75x /
+#: 2.35x on DynamicMatrix2Phases (n=40, p=100).  The two crossovers lie
+#: on either side of 16.
+LOCKSTEP_MIN_REPLICATES = 16
+
 
 def has_vector_kernel(strategy: Union[Strategy, Type[Strategy]]) -> bool:
     """True when *strategy*'s exact type has a vectorized batch kernel."""
     return kernel_for(strategy) is not None
+
+
+def steps_in_lockstep(
+    strategy: Union[Strategy, Type[Strategy]],
+    speed_models: Optional[Sequence[Optional[SpeedModel]]] = None,
+) -> bool:
+    """Whether a batch of *strategy* advances one event per kernel step.
+
+    True for the Dynamic* and two-phase kernels under any speed model,
+    and for every kernel when some replicate has a
+    :class:`~repro.platform.speeds.DynamicSpeedModel`, whose per-event
+    draws make the schedule history-dependent.  False for the analytic
+    kernels under static speeds, and for strategies without a kernel.
+    """
+    kernel = kernel_for(strategy)
+    if kernel is None:
+        return False
+    return kernel.lockstep or any(
+        isinstance(model, DynamicSpeedModel) for model in speed_models or ()
+    )
 
 
 def fallback_reason(

@@ -131,6 +131,11 @@ class VectorKernel:
     #: Registry names of the strategies this kernel instance covers.
     strategy_name: str = ""
 
+    #: Whether the kernel advances its replicates one event per step under
+    #: every speed model (the Dynamic* and two-phase kernels).  Analytic
+    #: kernels step that way only under dynamic speed models.
+    lockstep: bool = False
+
     def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
         """Simulate one replicate per row of ``ctx.speeds`` ``(R, p)``.
 
@@ -874,6 +879,7 @@ class _OuterDynamicKernel(VectorKernel):
     """Lockstep kernel for DynamicOuter (Algorithm 1), R replicates at once."""
 
     strategy_name = "DynamicOuter"
+    lockstep = True
 
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
         n = prototype.n
@@ -1001,6 +1007,7 @@ class _MatrixDynamicKernel(VectorKernel):
     """Lockstep kernel for DynamicMatrix (Algorithm 3), R replicates at once."""
 
     strategy_name = "DynamicMatrix"
+    lockstep = True
 
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
         n = prototype.n
@@ -1171,6 +1178,8 @@ class _TwoPhaseKernel(VectorKernel):
     saves its state to the handle at its crossing pop before the
     closed-form close-out.
     """
+
+    lockstep = True
 
     def __init__(self, kind: str, strategy_name: str) -> None:
         self._kind = kind

@@ -4,23 +4,32 @@ The engine-level equivalence lives in ``tests/simulator/test_batch.py``;
 here we pin the plumbing: ``vectorize`` mode resolution, bit-identical
 summaries/snapshots across engine selections, cache coherence across
 modes, the per-worker chunking default, warm-pool reuse, and the bench
-suite's scaling workloads and derived metrics.
+suite's scaling workloads and derived metrics, and the small-batch rule
+that sends lockstep batches of few replicates to the scalar loop.
 """
 
+import numpy as np
 import pytest
 
 import repro.experiments.parallel as parallel_module
-from repro.experiments.bench import _derive_metrics, build_suite
+import repro.experiments.runner as runner_module
+from repro.experiments.bench import _derive_metrics, _engine_params, build_suite
+from repro.experiments.figures import _engine_meta, fig06
 from repro.experiments.parallel import (
+    FixedPlatformSpec,
     RepJob,
+    ScenarioPlatformSpec,
     StrategySpec,
     UniformPlatformSpec,
     _chunk_indices,
     parallel_average_normalized_comm,
     shutdown_pool,
 )
-from repro.experiments.runner import average_normalized_comm
+from repro.experiments.runner import average_normalized_comm, resolve_vectorize
 from repro.obs.sink import RecordingSink
+from repro.platform.speeds import DynamicSpeedModel, StaticSpeedModel
+from repro.simulator.batch import LOCKSTEP_MIN_REPLICATES, steps_in_lockstep
+from repro.simulator.vector_kernels import Phase1Prefix, kernel_for
 from repro.store.cache import ResultStore
 from repro.utils.rng import spawn_seed_sequences
 
@@ -87,6 +96,206 @@ class TestRunnerVectorize:
         assert store.counts.hits == 1
 
 
+#: Cells that step in lockstep: the four Dynamic* strategies on static
+#: speeds, and the analytic RandomOuter/SortedOuter under dyn.* models.
+LOCKSTEP_CELLS = [
+    (StrategySpec("DynamicOuter", 8), UniformPlatformSpec(5), 8),
+    (StrategySpec("DynamicMatrix", 4), UniformPlatformSpec(5), 4),
+    (StrategySpec("DynamicOuter2Phases", 8), UniformPlatformSpec(5), 8),
+    (StrategySpec("DynamicMatrix2Phases", 4), UniformPlatformSpec(5), 4),
+    (StrategySpec("RandomOuter", 8), ScenarioPlatformSpec("dyn.5", 5), 8),
+    (StrategySpec("RandomOuter", 8), ScenarioPlatformSpec("dyn.20", 5), 8),
+    (StrategySpec("SortedOuter", 8), ScenarioPlatformSpec("dyn.5", 5), 8),
+    (StrategySpec("SortedOuter", 8), ScenarioPlatformSpec("dyn.20", 5), 8),
+]
+CELL_IDS = [f"{s.name}-{getattr(pl, 'scenario', 'unif')}" for s, pl, _ in LOCKSTEP_CELLS]
+REPS = (1, 5, 15, 16, 20)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count kernel runs and scalar runs the runner makes, by kind."""
+    calls = {"kernel": 0, "scalar": 0}
+    for kernel_type in {type(kernel_for(strategy())) for strategy, _, _ in LOCKSTEP_CELLS}:
+
+        def counted_run(self, prototype, ctx, _real=kernel_type.run):
+            calls["kernel"] += 1
+            return _real(self, prototype, ctx)
+
+        monkeypatch.setattr(kernel_type, "run", counted_run)
+    real_simulate = runner_module.simulate
+
+    def counted_simulate(*args, **kwargs):
+        calls["scalar"] += 1
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "simulate", counted_simulate)
+    return calls
+
+
+class TestSmallBatchRule:
+    def test_replicate_counts_straddle_the_constant(self):
+        # The coverage below must exercise both sides of the rule.
+        assert min(REPS) < LOCKSTEP_MIN_REPLICATES <= max(REPS)
+        assert LOCKSTEP_MIN_REPLICATES in REPS
+
+    def test_steps_in_lockstep(self):
+        for name in ("DynamicOuter", "DynamicMatrix", "DynamicOuter2Phases", "DynamicMatrix2Phases"):
+            assert steps_in_lockstep(StrategySpec(name, 6)())
+        for name in ("RandomOuter", "SortedMatrix", "MapReduceOuter"):
+            strategy = StrategySpec(name, 6)()
+            assert not steps_in_lockstep(strategy)
+            assert not steps_in_lockstep(strategy, [None, StaticSpeedModel()])
+            assert steps_in_lockstep(strategy, [None, DynamicSpeedModel(0.05)])
+        # No kernel, no lockstep: the batch engine falls back on its own.
+        assert not steps_in_lockstep(StrategySpec("RandomOuter", 6, collect_ids=True)())
+
+    @pytest.mark.parametrize("reps", REPS)
+    @pytest.mark.parametrize("cell", LOCKSTEP_CELLS, ids=CELL_IDS)
+    def test_modes_bit_identical(self, cell, reps):
+        strategy, platform, n = cell
+        results = []
+        for vectorize in (False, True, "auto"):
+            sink = RecordingSink()
+            summary = average_normalized_comm(
+                strategy, platform, n, reps, seed=11, vectorize=vectorize, sink=sink
+            )
+            results.append((summary, sink.snapshot()))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("reps", REPS)
+    @pytest.mark.parametrize("cell", LOCKSTEP_CELLS, ids=CELL_IDS)
+    def test_auto_routes_by_replicate_count(self, cell, reps, engine_calls):
+        strategy, platform, n = cell
+        average_normalized_comm(strategy, platform, n, reps, seed=3)
+        if reps < LOCKSTEP_MIN_REPLICATES:
+            assert engine_calls == {"kernel": 0, "scalar": reps}
+        else:
+            assert engine_calls["kernel"] >= 1
+            assert engine_calls["scalar"] == 0
+
+    @pytest.mark.parametrize("cell", LOCKSTEP_CELLS, ids=CELL_IDS)
+    def test_true_runs_the_kernel_at_one_replicate(self, cell, engine_calls):
+        strategy, platform, n = cell
+        average_normalized_comm(strategy, platform, n, 1, seed=3, vectorize=True)
+        assert engine_calls == {"kernel": 1, "scalar": 0}
+
+    def test_static_analytic_batches_keep_the_kernel(self, cell, engine_calls):
+        strategy, platform = cell
+        average_normalized_comm(strategy, platform, 6, 1, seed=3)
+        assert engine_calls == {"kernel": 1, "scalar": 0}
+
+    def test_prefix_sweep_keeps_the_kernel(self, engine_calls):
+        # A β sweep with a Phase1Prefix handle stays on the kernel at R=5
+        # and still saves snapshots for the next cell to resume from.
+        speeds = np.linspace(10.0, 100.0, 5)
+        prefix = Phase1Prefix()
+        betas = (1.0, 2.0, 3.0)
+        with_prefix = [
+            average_normalized_comm(
+                StrategySpec("DynamicOuter2Phases", 8, beta=beta),
+                FixedPlatformSpec(speeds),
+                8,
+                5,
+                seed=4,
+                prefix=prefix,
+            )
+            for beta in betas
+        ]
+        assert len(prefix) == 5
+        assert engine_calls == {"kernel": len(betas), "scalar": 0}
+        scalar = [
+            average_normalized_comm(
+                StrategySpec("DynamicOuter2Phases", 8, beta=beta),
+                FixedPlatformSpec(speeds),
+                8,
+                5,
+                seed=4,
+                vectorize=False,
+            )
+            for beta in betas
+        ]
+        assert with_prefix == scalar
+
+    @pytest.mark.parametrize("reps", (5, 20))
+    @pytest.mark.parametrize("cell", LOCKSTEP_CELLS[::3], ids=CELL_IDS[::3])
+    def test_parallel_matches_serial(self, cell, reps):
+        strategy, platform, n = cell
+        sink_serial, sink_parallel = RecordingSink(), RecordingSink()
+        serial = average_normalized_comm(strategy, platform, n, reps, seed=6, sink=sink_serial)
+        try:
+            par = parallel_average_normalized_comm(
+                strategy, platform, n, reps, seed=6, workers=2, sink=sink_parallel
+            )
+        finally:
+            shutdown_pool()
+        assert serial == par
+        assert sink_serial.snapshot() == sink_parallel.snapshot()
+
+    def test_parallel_chunks_apply_the_rule(self, engine_calls):
+        strategy, platform, n = LOCKSTEP_CELLS[0]
+        seeds = spawn_seed_sequences(0, LOCKSTEP_MIN_REPLICATES)
+        auto = RepJob(strategy, platform, n, seeds, vectorize="auto")
+        forced = RepJob(strategy, platform, n, seeds, vectorize=True)
+        chunk = list(range(LOCKSTEP_MIN_REPLICATES - 1))
+        assert auto.run(chunk) == forced.run(chunk)
+        assert engine_calls == {"kernel": 1, "scalar": len(chunk)}
+        auto.run(list(range(LOCKSTEP_MIN_REPLICATES)))
+        assert engine_calls["kernel"] == 2
+
+    def test_routed_cell_is_a_cache_hit_under_true(self, tmp_path, engine_calls):
+        strategy, platform, n = LOCKSTEP_CELLS[0]
+        store = ResultStore(str(tmp_path))
+        routed = average_normalized_comm(strategy, platform, n, 5, seed=8, cache=store)
+        assert engine_calls == {"kernel": 0, "scalar": 5}
+        hit = average_normalized_comm(
+            strategy, platform, n, 5, seed=8, vectorize=True, cache=store
+        )
+        assert hit == routed
+        assert store.counts.hits == 1
+        assert engine_calls == {"kernel": 0, "scalar": 5}
+
+
+class TestSmallBatchLabels:
+    def test_resolve_vectorize_reason(self):
+        spec = StrategySpec("DynamicOuter", 6)
+        below, at = LOCKSTEP_MIN_REPLICATES - 1, LOCKSTEP_MIN_REPLICATES
+        assert resolve_vectorize("auto", spec) == (True, None)
+        assert resolve_vectorize("auto", spec, below) == (False, "small-batch")
+        assert resolve_vectorize("auto", spec, at) == (True, None)
+        assert resolve_vectorize(True, spec, 1) == (True, None)
+        assert resolve_vectorize(False, spec, 1) == (False, "forced")
+        assert resolve_vectorize("auto", spec, below, prefix=Phase1Prefix()) == (True, None)
+        random_outer = StrategySpec("RandomOuter", 6)
+        assert resolve_vectorize("auto", random_outer, 1) == (True, None)
+        dynamic = [DynamicSpeedModel(0.05)]
+        assert resolve_vectorize("auto", random_outer, 1, speed_models=dynamic) == (
+            False,
+            "small-batch",
+        )
+
+    def test_figure_engine_meta(self):
+        meta = _engine_meta(("RandomOuter", "DynamicOuter"), 6, 5)
+        assert meta == {"RandomOuter": "vectorized", "DynamicOuter": "scalar (small-batch)"}
+        meta = _engine_meta(("DynamicOuter2Phases",), 6, 5, prefixed=("DynamicOuter2Phases",))
+        assert meta == {"DynamicOuter2Phases": "vectorized"}
+        meta = _engine_meta(("RandomOuter",), 6, 5, dynamic_speeds=True)
+        assert meta == {"RandomOuter": "vectorized; dyn.*: scalar (small-batch)"}
+        assert fig06("ci").meta["engine"] == {
+            "DynamicOuter2Phases": "vectorized",
+            "DynamicOuter": "scalar (small-batch)",
+        }
+
+    def test_bench_engine_params(self):
+        spec = StrategySpec("DynamicMatrix2Phases", 6)
+        assert _engine_params(spec, "auto", 4) == {
+            "engine": "scalar",
+            "vectorize_fallback": "small-batch",
+        }
+        assert _engine_params(spec, "auto", 64) == {"engine": "vectorized"}
+        assert _engine_params(spec, True, 1) == {"engine": "vectorized"}
+
+
 class TestParallelVectorize:
     def test_job_run_respects_index_order_when_vectorized(self, cell):
         strategy, platform = cell
@@ -132,9 +341,13 @@ class TestBenchScaling:
         for reps in (1, 4, 16, 64):
             for engine in ("serial", "vectorized", "parallel4"):
                 assert f"scaling_reps{reps:02d}_{engine}" in names
+        for prefix in ("lockstep_outer", "lockstep_matrix2p"):
+            for reps in (1, 4, 16, 64):
+                for engine in ("serial", "vectorized"):
+                    assert f"{prefix}_reps{reps:02d}_{engine}" in names
         assert "twophase_beta_sweep_serial" in names
         assert "twophase_beta_sweep_vectorized" in names
-        assert len(names) == 14
+        assert len(names) == 30
 
     def test_scaling_suite_records_engine_params(self):
         by_name = {wl.name: wl for wl in build_suite("scaling")}

@@ -154,6 +154,53 @@ class TestDynamicSpeedModel:
         with pytest.raises(RuntimeError):
             m.duration(0, 1)
 
+    @staticmethod
+    def _array_path(speeds, rng, jitter, worker, n_tasks):
+        """The general cumulative-product duration, as reference."""
+        s0 = speeds[worker]
+        factors = 1.0 + rng.uniform(-jitter, jitter, size=n_tasks)
+        cum = np.cumprod(factors)
+        per_task = np.empty(n_tasks)
+        per_task[0] = s0
+        per_task[1:] = s0 * cum[:-1]
+        np.maximum(per_task, 1e-9, out=per_task)
+        speeds[worker] = max(s0 * cum[-1], 1e-9)
+        return float(np.sum(1.0 / per_task))
+
+    @pytest.mark.parametrize("jitter", [0.05, 0.2, 0.9])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_task_matches_array_path(self, seed, jitter):
+        # Tiny speeds exercise the floor on both the duration and the update.
+        speeds = np.random.default_rng(seed).uniform(1e-12, 100.0, size=6)
+        speeds[seed % 6] = 1e-12
+        m = DynamicSpeedModel(jitter)
+        fast_rng, ref_rng = np.random.default_rng(seed + 99), np.random.default_rng(seed + 99)
+        m.reset(Platform(speeds), fast_rng)
+        ref_speeds = speeds.copy()
+        for k in range(50):
+            worker = (k * 5) % 6
+            got = m.duration(worker, 1)
+            want = self._array_path(ref_speeds, ref_rng, jitter, worker, 1)
+            assert type(got) is float and got == want
+            assert [m.current_speed(w) for w in range(6)] == ref_speeds.tolist()
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_multi_task_matches_array_path(self):
+        m = DynamicSpeedModel(0.2)
+        ref_rng = np.random.default_rng(12345)
+        m.reset(Platform([10.0, 30.0]), np.random.default_rng(12345))
+        ref_speeds = np.array([10.0, 30.0])
+        for worker, n_tasks in [(0, 3), (1, 1), (0, 7), (1, 2)]:
+            assert m.duration(worker, n_tasks) == self._array_path(
+                ref_speeds, ref_rng, 0.2, worker, n_tasks
+            )
+
+    def test_negative_task_count_rejected(self, rng):
+        m = DynamicSpeedModel(0.1)
+        m.reset(Platform([10.0]), rng)
+        with pytest.raises(ValueError):
+            m.duration(0, -1)
+
 
 class TestScenarios:
     def test_names(self):

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-shot local gate: tier-1 tests, the invariant linter, the whole-program
-# analyzer, the docs gate, the cross-process claims smoke, and (when
-# installed) the strict typing gate — the same jobs CI runs.
+# One-shot local gate: tier-1 tests, the repo benchmark's own tests, the
+# invariant linter, the whole-program analyzer, the docs gate, the
+# cross-process claims smoke, and (when installed) the strict typing gate —
+# the same jobs CI runs.
 #
 #   ./tools/run_checks.sh
 #
@@ -28,6 +29,7 @@ run() {
 }
 
 run python -m pytest -x -q
+run python -m pytest -q e2ebench/tests
 run python -m repro.lint src/repro
 run python -m repro.analyze check --baseline tools/analyze_baseline.json src/repro
 run python tools/check_docs.py
